@@ -62,6 +62,7 @@ coverage:
 
 lint:
 	$(PYTHON) tools/lint_bare_except.py src
+	$(PYTHON) tools/lint_row_scan.py src/repro
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

@@ -274,19 +274,15 @@ class QuestService:
         from_suggestions = bool(
             suggestion and suggestion.hit_at(error_code, SUGGESTION_COUNT))
         bundles = self.database.table("bundles")
-        row_id = next((rid for rid in bundles.row_ids()
-                       if bundles.get(rid)["ref_no"] == ref_no), None)
-        if row_id is None:
+        row_ids = bundles.row_ids_where(col("ref_no") == ref_no)
+        if not row_ids:
             raise QuestError(
                 f"bundle {ref_no!r} has reports but no bundles row; "
                 f"the raw store is inconsistent")
+        row_id = row_ids[0]
         previous_code = bundles.get(row_id)["error_code"]
         bundles.update(row_id, {"error_code": error_code})
-        index = self._assignments.index_for("ref_no")
-        earlier = (index.lookup(ref_no) if index is not None
-                   else [rid for rid in self._assignments.row_ids()
-                         if self._assignments.get(rid)["ref_no"] == ref_no])
-        for rid in earlier:
+        for rid in self._assignments.row_ids_where(col("ref_no") == ref_no):
             if not self._assignments.get(rid)["superseded"]:
                 self._assignments.update(rid, {"superseded": True})
         self._assignments.insert({

@@ -105,11 +105,10 @@ class UserStore:
         """
         if not actor.can("manage_users"):
             raise PermissionError_(f"{actor.name} may not manage users")
-        row_id = next((rid for rid in self._table.row_ids()
-                       if self._table.get(rid)["name"] == name), None)
-        if row_id is None:
+        row_ids = self._table.row_ids_where(col("name") == name)
+        if not row_ids:
             raise ValueError(f"no user {name!r}")
-        self._table.update(row_id, {"role": role.value})
+        self._table.update(row_ids[0], {"role": role.value})
 
     def remove(self, actor: User, name: str) -> None:
         """Delete an account; requires the ``manage_users`` capability.

@@ -163,9 +163,10 @@ class Table:
             inverted: require an element (inverted) index instead of a
                 scalar one.
 
-        Callers must handle the None case (typically with a full-scan
-        fallback): indexes can be dropped at runtime and externally
-        supplied tables may never have had them.
+        Callers must handle the None case: indexes can be dropped at
+        runtime and externally supplied tables may never have had them.
+        A keyed row lookup should use :meth:`row_ids_where`, which plans
+        the index probe and the scan fallback itself.
         """
         return self._index_on(column, inverted=inverted)
 
@@ -326,8 +327,7 @@ class Table:
         its own writes); each deletion then goes through the normal
         conflict-checked path.
         """
-        doomed = [row_id for row_id, row in self._candidate_rows(predicate)
-                  if predicate(self.schema.as_dict(row))]
+        doomed = self.row_ids_where(predicate)
         for row_id in doomed:
             self.delete_row(row_id)
         return len(doomed)
@@ -605,6 +605,18 @@ class Table:
         if columns is not None:
             matches = [{name: record[name] for name in columns} for record in matches]
         return matches
+
+    def row_ids_where(self, predicate: Predicate) -> list[int]:
+        """Ascending ids of the visible rows matching *predicate*.
+
+        Planned like :meth:`select`: an equality on an indexed column (or
+        a ``contains`` on an inverted one) probes the index, anything else
+        scans, and under a transaction or read view only rows visible at
+        the snapshot count.  This is the keyed lookup for callers that
+        need row ids (to update or delete) rather than row values.
+        """
+        return sorted(row_id for row_id, row in self._candidate_rows(predicate)
+                      if predicate(self.schema.as_dict(row)))
 
     def select_one(self, predicate: Predicate) -> dict[str, Any] | None:
         """Return the first matching row, or None."""

@@ -13,11 +13,12 @@ _UMLAUT_MAP = {
     "ä": "ae", "ö": "oe", "ü": "ue", "ß": "ss",
     "Ä": "Ae", "Ö": "Oe", "Ü": "Ue",
 }
+_UMLAUT_TABLE = str.maketrans(_UMLAUT_MAP)
 
 
 def fold_umlauts(text: str) -> str:
     """Transliterate German umlauts and ß to their ASCII digraphs."""
-    return "".join(_UMLAUT_MAP.get(char, char) for char in text)
+    return text.translate(_UMLAUT_TABLE)
 
 
 def normalize_token(token: str) -> str:

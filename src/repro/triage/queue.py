@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 
-from ..relstore import Column, ColumnType, Database, IntegrityError, Schema
+from ..relstore import (Column, ColumnType, Database, IntegrityError, Schema,
+                        col)
 
 
 def _no_open_entry(ref_no: str) -> Exception:
@@ -58,14 +59,11 @@ class ReviewQueue:
                    if row["status"] != "resolved")
 
     def _open_row(self, ref_no: str) -> tuple[int, dict] | None:
-        index = self._table.index_for("ref_no")
-        row_ids = (index.lookup(ref_no) if index is not None
-                   else self._table.row_ids())
-        for rid in sorted(row_ids):
-            row = self._table.get(rid)
-            if row["ref_no"] == ref_no and row["status"] != "resolved":
-                return rid, row
-        return None
+        row_ids = self._table.row_ids_where(
+            (col("ref_no") == ref_no) & (col("status") != "resolved"))
+        if not row_ids:
+            return None
+        return row_ids[0], self._table.get(row_ids[0])
 
     # ------------------------------------------------------------------ #
     # intake

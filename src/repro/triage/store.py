@@ -54,12 +54,10 @@ class OverrideStore:
         """Number of *active* (non-superseded) overrides."""
         return len(self.active_map())
 
-    def _ref_row_ids(self, ref_no: str) -> list[int]:
-        index = self._table.index_for("ref_no")
-        if index is not None:
-            return sorted(index.lookup(ref_no))
-        return sorted(rid for rid in self._table.row_ids()
-                      if self._table.get(rid)["ref_no"] == ref_no)
+    def _live_row_ids(self, ref_no: str) -> list[int]:
+        """Ids of *ref_no*'s not-yet-superseded pins, oldest first."""
+        return self._table.row_ids_where(
+            (col("ref_no") == ref_no) & col("superseded_by").is_null())
 
     def pin(self, actor: str, ref_no: str, error_code: str,
             reason: str = "") -> dict:
@@ -67,8 +65,7 @@ class OverrideStore:
 
         Returns the stored override row (with its ``override_id``).
         """
-        prior = [rid for rid in self._ref_row_ids(ref_no)
-                 if self._table.get(rid)["superseded_by"] is None]
+        prior = self._live_row_ids(ref_no)
         row = {
             "ref_no": ref_no,
             "error_code": error_code,
@@ -84,11 +81,10 @@ class OverrideStore:
 
     def active(self, ref_no: str) -> dict | None:
         """The active override for *ref_no*, or None."""
-        for rid in reversed(self._ref_row_ids(ref_no)):
-            row = self._table.get(rid)
-            if row["superseded_by"] is None:
-                return {"override_id": rid, **row}
-        return None
+        live = self._live_row_ids(ref_no)
+        if not live:
+            return None
+        return {"override_id": live[-1], **self._table.get(live[-1])}
 
     def active_map(self) -> dict[str, str]:
         """All active pins as ``{ref_no: error_code}``.
@@ -104,4 +100,4 @@ class OverrideStore:
     def history(self, ref_no: str) -> list[dict]:
         """Every pin ever recorded for *ref_no*, oldest first."""
         return [{"override_id": rid, **self._table.get(rid)}
-                for rid in self._ref_row_ids(ref_no)]
+                for rid in self._table.row_ids_where(col("ref_no") == ref_no)]

@@ -4,6 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.text import fold_umlauts, normalize_phrase, normalize_token, tokenize
+from repro.text.normalize import _UMLAUT_MAP
+
+#: Umlauts, ß, ASCII and arbitrary other Unicode, mixed.
+_MIXED_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("äöüßÄÖÜ"),
+                       st.characters(max_codepoint=127), st.characters()),
+    max_size=80)
+
+
+def _fold_per_character(text):
+    """The original per-character transliteration, kept as the oracle."""
+    return "".join(_UMLAUT_MAP.get(char, char) for char in text)
 
 
 class TestFoldUmlauts:
@@ -49,6 +61,11 @@ def test_normalize_token_is_idempotent(text):
 def test_fold_umlauts_removes_all_umlauts(text):
     folded = fold_umlauts(text)
     assert not set(folded) & set("äöüßÄÖÜ")
+
+
+@given(_MIXED_TEXT)
+def test_fold_umlauts_matches_per_character_reference(text):
+    assert fold_umlauts(text) == _fold_per_character(text)
 
 
 @given(st.text(max_size=80))
