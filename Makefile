@@ -27,10 +27,11 @@ test-faults:
 test-serve:
 	$(PYTHON) -m pytest tests/serve -q
 
-# Cross-executor parity: in-process vs thread gateway vs process
-# gateway must produce byte-identical ranked lists across 5 seeds.
+# Byte-identical ranked lists: in-process vs thread gateway vs process
+# gateway across 5 seeds, and the ranked kNN classifier (cache, top-k
+# selection, frozen view) against the reference Fig. 5/7 transcription.
 test-parity:
-	$(PYTHON) -m pytest tests/serve/test_parity.py -q
+	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py -q
 
 # The HTTP transport on its own: webapp routes, keep-alive wire
 # behavior, and the pooled client.

@@ -72,25 +72,23 @@ class RankedKnnClassifier:
                          features: frozenset[str]) -> list[ScoredNode]:
         """Retrieve and score the top candidates for one bundle.
 
-        Returns at most ``node_cutoff`` candidates in rank order.  The
-        candidate set is often an order of magnitude larger than the
-        cutoff, so a bounded ``heapq.nsmallest`` selection replaces the
-        full sort; ``nsmallest`` is stable and the key carries the full
-        tie-break, so the result equals ``sorted(...)[:node_cutoff]``
-        exactly.
+        Returns at most ``node_cutoff`` candidates in rank order: score
+        descending, then error code, then support descending, then the
+        candidate's position in Fig. 5 retrieval order.  Each candidate
+        becomes a plain ``(-score, code, -support, position, node)``
+        tuple; the position is unique, so tuples compare without a key
+        function and never reach the node, and a bounded
+        ``heapq.nsmallest`` equals ``sorted(...)[:node_cutoff]`` exactly.
+        Only the survivors become :class:`ScoredNode` objects.
         """
         similarity = self.similarity
-        scored = [ScoredNode(node, similarity(features, node.features))
-                  for node in self.knowledge_base.candidates(part_id,
-                                                             features)]
-
-        def rank_key(item: ScoredNode) -> tuple[float, str, int]:
-            return (-item.score, item.node.error_code, -item.node.support)
-
-        if len(scored) > self.node_cutoff:
-            return heapq.nsmallest(self.node_cutoff, scored, key=rank_key)
-        scored.sort(key=rank_key)
-        return scored
+        keyed = [(-similarity(features, node.features), node.error_code,
+                  -node.support, position, node)
+                 for position, node in enumerate(
+                     self.knowledge_base.candidates(part_id, features))]
+        return [ScoredNode(node, -negated)
+                for negated, _, _, _, node in heapq.nsmallest(
+                    self.node_cutoff, keyed)]
 
     def rank_codes(self, part_id: str, features: frozenset[str],
                    ref_no: str = "") -> Recommendation:

@@ -16,6 +16,7 @@ from typing import Any, Callable
 from ..classify.knn import RankedKnnClassifier
 from ..classify.results import Recommendation, store_recommendations
 from ..knowledge.base import KnowledgeBase
+from ..knowledge.extractor import word_features
 from ..relstore import Database
 from ..uima import CAS, AnalysisEngine, CasConsumer
 
@@ -27,14 +28,16 @@ def cas_features(cas: CAS, feature_kind: str) -> frozenset[str]:
     """Collect the classification features recorded in a CAS.
 
     ``concepts`` uses ``ConceptMention`` annotations, anything else the
-    ``Token`` annotations' normalized-or-covered text (the bag-of-words
-    path stores raw tokens; §5.1 works without normalization).
+    ``Token`` annotations' covered text (the bag-of-words path stores raw
+    tokens; §5.1 works without normalization), with the stopword removal
+    and stemming the bag-of-words extractor of that name applies.
     """
     if feature_kind == "concepts":
         return frozenset(annotation.features["concept_id"]
                          for annotation in cas.select("ConceptMention"))
-    return frozenset(cas.covered_text(annotation)
-                     for annotation in cas.select("Token"))
+    return word_features((cas.covered_text(annotation)
+                          for annotation in cas.select("Token")),
+                         feature_kind)
 
 
 class KnowledgeBaseConsumer(CasConsumer):

@@ -38,7 +38,6 @@ class QatkConfig:
     feature_mode: str = "concepts"
     similarity: str = "jaccard"
     node_cutoff: int = DEFAULT_NODE_CUTOFF
-    annotate_concepts: bool = True
     extra_engines: list[AnalysisEngine] = field(default_factory=list)
     #: Pipeline degradation semantics (see :class:`repro.uima.Pipeline`):
     #: ``fail_fast`` (default, the historical behavior), ``skip`` or
@@ -79,10 +78,14 @@ class QATK:
     # pipeline assembly (Fig. 8)
 
     def analysis_engines(self) -> list[AnalysisEngine]:
-        """Step 2 of Fig. 8: unstructured-data analytics engines."""
+        """Step 2 of Fig. 8: unstructured-data analytics engines.
+
+        The concept annotator runs only when concepts are the features:
+        no other feature mode reads its ``ConceptMention`` annotations.
+        """
         engines: list[AnalysisEngine] = [WhitespaceTokenizer(),
                                          LanguageDetector()]
-        if self.config.annotate_concepts:
+        if self.config.feature_mode == "concepts":
             engines.append(self.annotator)
         engines.extend(self.config.extra_engines)
         return engines

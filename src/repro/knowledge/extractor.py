@@ -38,6 +38,24 @@ class FeatureExtractor(Protocol):
         ...
 
 
+def word_features(tokens: Iterable[str], kind: str) -> frozenset[str]:
+    """The bag-of-words features of tokenized text for extractor *kind*.
+
+    *kind* is a :class:`BagOfWordsExtractor` name: a ``nostop`` part
+    drops stopwords, a ``stem`` part stems the remaining tokens.  The
+    extractor and the UIMA pipeline (which reads ``Token`` annotations)
+    both derive their features here, so they agree in every mode.
+    """
+    options = kind.split("-")
+    if "nostop" in options:
+        tokens = [token for token in tokens
+                  if token.lower() not in ALL_STOPWORDS]
+    if "stem" in options:
+        from ..text.stem import stem as stem_word
+        tokens = [stem_word(token) for token in tokens]
+    return frozenset(tokens)
+
+
 class BagOfWordsExtractor:
     """The domain-ignorant extractor: every token is a feature.
 
@@ -59,14 +77,7 @@ class BagOfWordsExtractor:
         self.name = name
 
     def extract_text(self, text: str) -> frozenset[str]:
-        tokens = tokenize(text)
-        if self.remove_stopwords:
-            tokens = [token for token in tokens
-                      if token.lower() not in ALL_STOPWORDS]
-        if self.stem:
-            from ..text.stem import stem as stem_word
-            tokens = [stem_word(token) for token in tokens]
-        return frozenset(tokens)
+        return word_features(tokenize(text), self.name)
 
     def __repr__(self) -> str:
         return (f"<BagOfWordsExtractor stopwords={self.remove_stopwords} "

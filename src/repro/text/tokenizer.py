@@ -55,6 +55,8 @@ class WhitespaceTokenizer(AnalysisEngine):
         self._lowercase = bool(self.params.get("lowercase", True))
 
     def process(self, cas: CAS) -> None:
-        for span in token_spans(cas.document_text):
-            normalized = span.text.lower() if self._lowercase else span.text
-            cas.annotate("Token", span.begin, span.end, normalized=normalized)
+        lowercase = self._lowercase
+        for match in _TOKEN_RE.finditer(cas.document_text):
+            text = match.group()
+            cas.annotate("Token", match.start(), match.end(),
+                         normalized=text.lower() if lowercase else text)

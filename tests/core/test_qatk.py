@@ -89,6 +89,45 @@ class TestClassification:
         assert recommendation.ref_no == test[0].ref_no
 
 
+class TestPipelineMatchesExtractor:
+    """The Fig. 8 pipeline and the extractor must see the same features."""
+
+    @pytest.mark.parametrize("mode", ["words", "words-nostop", "words-stem",
+                                      "concepts"])
+    def test_classify_many_equals_classify_bundle(self, taxonomy, split,
+                                                  mode):
+        train, test = split
+        qatk = QATK(taxonomy, QatkConfig(feature_mode=mode))
+        qatk.train(train)
+        held_out = [bundle.without_label() for bundle in test[:40]]
+        piped = qatk.classify_many(held_out)
+        direct = [qatk.classifier.classify_bundle(bundle)
+                  for bundle in held_out]
+        assert [r.codes for r in piped] == [r.codes for r in direct]
+        assert ([(r.pool_size, r.winner_nodes) for r in piped]
+                == [(r.pool_size, r.winner_nodes) for r in direct])
+
+    @pytest.mark.parametrize("mode", ["words", "words-nostop", "words-stem",
+                                      "concepts"])
+    def test_training_equals_from_bundles(self, taxonomy, split, mode):
+        from repro.knowledge import KnowledgeBase
+        train, _ = split
+        qatk = QATK(taxonomy, QatkConfig(feature_mode=mode))
+        qatk.train(train[:120])
+        direct = KnowledgeBase.from_bundles(train[:120], qatk.extractor)
+        assert qatk.knowledge_base.export_rows() == direct.export_rows()
+
+    @pytest.mark.parametrize("mode", ["words", "words-nostop", "words-stem",
+                                      "concepts"])
+    def test_concept_annotator_only_for_concepts(self, taxonomy, mode):
+        qatk = QATK(taxonomy, QatkConfig(feature_mode=mode))
+        for pipeline in (qatk.training_pipeline([]),
+                         qatk.classification_pipeline([])):
+            names = [engine.name for engine in pipeline.aggregate.engines]
+            assert "tokenizer" in names
+            assert ("concept-annotator" in names) == (mode == "concepts")
+
+
 class TestExtensionPoint:
     def test_custom_classifier_plugs_in(self):
         def classify(part_id, features, ref_no):

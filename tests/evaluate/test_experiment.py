@@ -93,6 +93,51 @@ class TestRunExperiment:
             taxonomy, annotator)
         assert concepts.seconds_per_bundle < words.seconds_per_bundle
 
+    def test_concepts_do_less_scoring_work(self, small_bundles, taxonomy,
+                                           annotator):
+        """E1t's mechanism, independent of host speed: bag-of-concepts
+        retrieves smaller Fig. 5 candidate pools and so scores fewer
+        nodes per bundle than bag-of-words, over the same two folds
+        ``test_concepts_faster_than_words`` times."""
+        from repro.classify import RankedKnnClassifier
+        from repro.classify.similarity import jaccard
+        from repro.evaluate.crossval import stratified_folds
+        from repro.knowledge import KnowledgeBase, extract_test_features
+
+        work = {}
+        for mode in ("words", "concepts"):
+            extractor = build_extractor(mode, taxonomy, annotator)
+            evaluations = pool = bundles = 0
+            for fold in stratified_folds(small_bundles, 2,
+                                         ExperimentConfig().seed):
+                knowledge_base = KnowledgeBase.from_bundles(fold.train,
+                                                            extractor)
+                calls = []
+
+                def counting(a, b):
+                    calls.append(None)
+                    return jaccard(a, b)
+
+                classifier = RankedKnnClassifier(knowledge_base, extractor,
+                                                 counting)
+                for bundle in fold.test:
+                    features = extract_test_features(extractor, bundle)
+                    before = len(calls)
+                    classifier.rank_codes(bundle.part_id, features)
+                    evaluations += len(calls) - before
+                    pool += len(knowledge_base.candidates(bundle.part_id,
+                                                          features))
+                    bundles += 1
+            assert evaluations == pool  # one evaluation per candidate
+            work[mode] = (evaluations / bundles, pool / bundles)
+        (words_evals, words_pool), (concepts_evals, concepts_pool) = (
+            work["words"], work["concepts"])
+        # Measured on this corpus: words 82.9 evaluations (= pool size) per
+        # bundle, concepts 47.2, a ratio of 1.76.  Counts are
+        # deterministic, so the bound sits just below the measured ratio.
+        assert words_evals > 1.7 * concepts_evals
+        assert words_pool > 1.7 * concepts_pool
+
 
 class TestBaselines:
     def test_frequency_baseline_reasonable(self, small_bundles):
