@@ -18,8 +18,8 @@ test-aio:
 	$(PYTHON) -m pytest tests/serve/test_aio.py tests/quest/test_keepalive.py -q
 
 # Tier-2: seeded fault-injection scenarios (torn WALs, bit flips,
-# crashes mid-save, poisoned CASes, slow/flaky serving workers,
-# killed worker processes) across 5 seeds per scenario.
+# crashes mid-save, poisoned CASes, slow/flaky serving workers) across
+# 5 seeds per scenario.
 test-faults:
 	$(PYTHON) -m pytest -q -m faults
 
@@ -27,9 +27,9 @@ test-faults:
 test-serve:
 	$(PYTHON) -m pytest tests/serve -q
 
-# Byte-identical ranked lists: in-process vs thread gateway vs process
-# gateway across 5 seeds, and the ranked kNN classifier (cache, top-k
-# selection, frozen view) against the reference Fig. 5/7 transcription.
+# Byte-identical ranked lists: in-process vs gateway vs replica across
+# 5 seeds, and the ranked kNN classifier (cache, top-k selection, frozen
+# view) against the reference Fig. 5/7 transcription.
 test-parity:
 	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py -q
 

@@ -14,15 +14,7 @@ Machine-readable output lands in ``benchmarks/results/BENCH_serving.json``
 (validated by ``tools/check_bench_serving.py``); the first committed
 baseline lives in ``benchmarks/baselines/BENCH_serving.json``.
 
-The second phase (ISSUE PR 4) compares the gateway's two worker modes on
-a CPU-bound trace of *distinct* refs (no memo hits — every request pays
-feature extraction + candidate scoring): thread mode runs classification
-on the batcher threads under the GIL, process mode dispatches it to
-snapshot-seeded worker processes.  Floor: process mode at least 1.5x
-thread mode — enforced only on hosts with >= 2 CPU cores, since a
-single-core host has no parallelism for the pool to unlock.
-
-The third phase (ISSUE PR 5, bench A8) measures the HTTP transport
+The second phase (ISSUE PR 5, bench A8) measures the HTTP transport
 itself: the same trace over ``/api/suggest/<ref>`` against a running
 ``QuestServer``, once with ``Connection: close`` on every request
 (connection-per-request, the urllib-era behavior) and once over
@@ -30,7 +22,7 @@ persistent HTTP/1.1 connections via :class:`repro.serve.PooledHTTPClient`.
 Floor: keep-alive at least 1.5x connection-per-request throughput at
 concurrency >= 8, p95 latency reported for both arms.
 
-The fourth phase (ISSUE PR 6, bench A9) measures snapshot replication's
+The third phase (ISSUE PR 6, bench A9) measures snapshot replication's
 read scale-out: two replica *processes* converge on the primary's model
 over ``/api/replicate``, then the same closed-loop HTTP trace runs once
 against the primary alone and once fanned out across primary + replicas
@@ -44,7 +36,7 @@ becomes visible on every replica within one replication interval (via
 ``replica_version`` in ``/api/stats``), and replica writes are refused
 with 405.
 
-The fifth phase (ISSUE PR 7, bench A10) prices the triage layer's
+The fourth phase (ISSUE PR 7, bench A10) prices the triage layer's
 confidence scoring: the same sequential suggest trace runs once with
 ``with_confidence=False`` (the plain ranked list) and once with
 ``with_confidence=True`` (margin/agreement/pool-size signals attached to
@@ -52,7 +44,7 @@ every answer).  Floor: the confidence arm keeps at least 90% of plain
 throughput — scoring reads signals the ranker already computed, so its
 overhead must stay under ``CONFIDENCE_OVERHEAD_CEILING_PCT``.
 
-The sixth phase (bench A11) prices the relstore's MVCC snapshot reads:
+The fifth phase (bench A11) prices the relstore's MVCC snapshot reads:
 pooled reader threads run an index-assisted query trace three ways —
 idle (no writer), under a continuously committing MVCC writer
 transaction (readers pin ``read_view()`` snapshots, never block), and
@@ -64,7 +56,7 @@ writer stays within ``MVCC_P95_DEGRADATION_CEILING`` of the idle p95,
 and MVCC reader throughput beats the RWLock arm by at least
 ``MVCC_RWLOCK_SPEEDUP_FLOOR``.
 
-The seventh phase (ISSUE PR 10, bench A12) measures connection *scale*
+The sixth phase (ISSUE PR 10, bench A12) measures connection *scale*
 rather than request throughput: both transports — the threaded
 ``QuestServer`` and the event-loop ``AsyncQuestServer`` — hold 64/256/
 1024 primed idle keep-alive connections while a small closed-loop pass
@@ -97,12 +89,8 @@ WORKERS = 2
 MAX_BATCH = 16
 MAX_WAIT_MS = 2.0
 
-# worker-mode comparison phase: every request is a distinct ref, so the
-# version-keyed memos never hit and each request is pure CPU work.
-MODE_REQUESTS = 96
-MODE_WORKERS = 4
-#: Floor for process-over-thread throughput on multi-core hosts.
-PROC_SPEEDUP_FLOOR = 1.5
+#: Batcher threads of the gateways behind the HTTP phases (A8, A9, A12).
+HTTP_WORKERS = 4
 
 # HTTP transport phase (A8): enough requests that per-connection setup
 # dominates the per-request arm, at the concurrency the ISSUE names.
@@ -277,105 +265,10 @@ def test_serving_throughput(benchmark, corpus, bundles, reporter):
         "rejected": snap["rejected"],
         "deadline_exceeded": snap["deadline_exceeded"],
         "model_version": snap["model_version"],
+        "cpus": os.cpu_count() or 1,
     }
     with open(RESULTS_DIR / "BENCH_serving.json", "w",
               encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _mode_pass(service, trace, mode, procs=None):
-    """One closed-loop pass through a fresh gateway in *mode*."""
-    gateway = ServeGateway(service, GatewayConfig(
-        workers=MODE_WORKERS, max_queue=256, max_batch_size=MAX_BATCH,
-        max_wait_ms=MAX_WAIT_MS, default_timeout=60.0, persist=False,
-        worker_mode=mode, worker_procs=procs))
-    gateway.start()
-    try:
-        elapsed, errors = _concurrent_pass(gateway, trace, CLIENTS)
-        snap = gateway.stats_snapshot()
-    finally:
-        report = gateway.stop()
-    assert report.cancelled == 0
-    return elapsed, errors, snap
-
-
-def test_worker_mode_process_vs_thread(benchmark, corpus, bundles, reporter):
-    """Thread-mode vs process-mode gateway on a no-memo CPU-bound trace."""
-    qatk = QATK(corpus.taxonomy, QatkConfig(feature_mode="words"),
-                database=Database("serve-bench-mode-kb"))
-    split = int(len(bundles) * 0.8)
-    qatk.train(bundles[:split])
-    service = qatk.make_service(Database("serve-bench-mode-app"))
-    held_out = bundles[split:split + MODE_REQUESTS]
-    service.register_bundles([bundle.without_label()
-                              for bundle in held_out])
-    trace = [bundle.ref_no for bundle in held_out]
-    # warm the primary-side caches (bundle loads, node cache) once so
-    # both modes start from the same state; the pool forks afterwards
-    # and inherits the warm state
-    for ref in trace:
-        service.suggest(ref, persist=False)
-
-    def run_both():
-        thread_seconds, thread_errors, thread_snap = _mode_pass(
-            service, trace, "thread")
-        process_seconds, process_errors, process_snap = _mode_pass(
-            service, trace, "process")
-        return (thread_seconds, thread_errors, thread_snap,
-                process_seconds, process_errors, process_snap)
-
-    (thread_seconds, thread_errors, thread_snap, process_seconds,
-     process_errors, process_snap) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1)
-
-    assert not thread_errors, f"thread pass errors: {thread_errors[:3]!r}"
-    assert not process_errors, f"process pass errors: {process_errors[:3]!r}"
-    assert process_snap["pool_active"], "process pool failed to start"
-    assert process_snap["proc_requests"] >= MODE_REQUESTS, \
-        "the pool did not serve the process-mode trace"
-    assert process_snap["stale_rejected"] == 0
-
-    cpus = os.cpu_count() or 1
-    thread_rps = MODE_REQUESTS / thread_seconds
-    process_rps = MODE_REQUESTS / process_seconds
-    proc_speedup = process_rps / thread_rps
-    reporter.row("A7b — worker modes: batcher threads vs process pool")
-    reporter.row(f"{'mode':<24}{'wall s':>10}{'req/s':>10}")
-    reporter.row(f"{'thread (GIL-bound)':<24}"
-                 f"{thread_seconds:>10.3f}{thread_rps:>10.1f}")
-    reporter.row(f"{'process pool':<24}"
-                 f"{process_seconds:>10.3f}{process_rps:>10.1f}")
-    reporter.row(f"process/thread: {proc_speedup:.2f}x | "
-                 f"{MODE_REQUESTS} distinct refs, {CLIENTS} clients, "
-                 f"{MODE_WORKERS} batcher threads, "
-                 f"{process_snap['pool']['procs']} procs, {cpus} cpus")
-    if cpus >= 2:
-        assert proc_speedup >= PROC_SPEEDUP_FLOOR, (
-            f"process mode {proc_speedup:.2f}x < "
-            f"{PROC_SPEEDUP_FLOOR}x floor on a {cpus}-core host")
-    else:
-        reporter.row(f"single-core host: {PROC_SPEEDUP_FLOOR}x floor "
-                     f"not enforced (IPC overhead, no parallelism)")
-
-    results_path = RESULTS_DIR / "BENCH_serving.json"
-    payload = {}
-    if results_path.exists():
-        payload = json.loads(results_path.read_text(encoding="utf-8"))
-    payload.update({
-        "mode_requests": MODE_REQUESTS,
-        "mode_workers": MODE_WORKERS,
-        "worker_procs": process_snap["pool"]["procs"],
-        "cpus": cpus,
-        "thread_rps": round(thread_rps, 2),
-        "process_rps": round(process_rps, 2),
-        "proc_speedup": round(proc_speedup, 3),
-        "proc_requests": process_snap["proc_requests"],
-        "proc_stale_rejected": process_snap["stale_rejected"],
-        "proc_speedup_floor_enforced": cpus >= 2,
-    })
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(results_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -432,7 +325,7 @@ def test_keepalive_vs_connection_per_request(benchmark, corpus, bundles,
     """A8 — the HTTP transport: keep-alive vs connection-per-request."""
     service, refs = _build_service(corpus, bundles)
     gateway = ServeGateway(service, GatewayConfig(
-        workers=MODE_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
+        workers=HTTP_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
         max_wait_ms=0.0, default_timeout=30.0))
     users = UserStore()
     users.add(User("bench", Role.POWER_EXPERT, "Benchmarks"))
@@ -531,7 +424,7 @@ def _replica_main(service, conn, interval):
     primary_url = conn.recv()
     registry = ModelRegistry.from_service(service)
     gateway = ServeGateway(service, GatewayConfig(
-        workers=MODE_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
+        workers=HTTP_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
         max_wait_ms=0.0, default_timeout=30.0, persist=False),
         registry=registry)
     replicator = SnapshotReplicator(registry, primary_url,
@@ -585,7 +478,7 @@ def test_replica_read_scaling(benchmark, corpus, bundles, reporter):
         replicas.append((proc, parent_conn))
 
     gateway = ServeGateway(service, GatewayConfig(
-        workers=MODE_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
+        workers=HTTP_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
         max_wait_ms=0.0, default_timeout=30.0))
     users = UserStore()
     users.add(User("bench", Role.POWER_EXPERT, "Benchmarks"))
@@ -1012,7 +905,7 @@ def _idle_tier_pass(server_cls, service, refs, trace, tier):
     connections, run the closed-loop read probe, tear down.  Returns the
     probe's p95 latency in ms."""
     gateway = ServeGateway(service, GatewayConfig(
-        workers=MODE_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
+        workers=HTTP_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
         max_wait_ms=0.0, default_timeout=30.0))
     users = UserStore()
     users.add(User("bench", Role.POWER_EXPERT, "Benchmarks"))

@@ -53,7 +53,7 @@ class CodeFrequencyBaseline:
                          ) -> "CodeFrequencyBaseline":
         """Rebuild a baseline from an exported frequency table.
 
-        This is the snapshot-payload import path: worker processes get the
+        This is the snapshot-payload import path: replicas get the
         primary's table verbatim (deep-copied, so later mutations on
         either side cannot leak across the boundary).
         """

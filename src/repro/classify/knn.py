@@ -170,31 +170,6 @@ class RankedKnnClassifier:
                                                    ref_no=bundle.ref_no))
         return recommendations
 
-    def classify_documents(self, items: Iterable[tuple[str, str, str]],
-                           feature_memo: dict[str, frozenset[str]] | None = None,
-                           ) -> list[Recommendation]:
-        """Classify pre-built ``(ref_no, part_id, document)`` items.
-
-        Side-effect-free by construction: the caller supplies the test
-        documents, so this never touches a bundle store, a service or any
-        other shared state — which is what lets serving worker processes
-        drive it against a :class:`~repro.knowledge.base.FrozenKnowledgeView`
-        snapshot.  Identical documents share one extraction through
-        *feature_memo* (pass a dict to share it across calls, e.g. across
-        the items of one serving micro-batch).  Each recommendation equals
-        what :meth:`classify_bundle` computes for the same document.
-        """
-        memo = {} if feature_memo is None else feature_memo
-        recommendations = []
-        for ref_no, part_id, document in items:
-            features = memo.get(document)
-            if features is None:
-                features = memo[document] = self.extractor.extract_text(
-                    document)
-            recommendations.append(self.rank_codes(part_id, features,
-                                                   ref_no=ref_no))
-        return recommendations
-
 
 class MajorityVoteKnnClassifier:
     """Textbook unweighted kNN with majority vote (Fig. 6).

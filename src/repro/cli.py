@@ -84,14 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bundles used to train the demo knowledge base")
     serve.add_argument("--workers", type=int, default=2,
                        help="gateway worker threads")
-    serve.add_argument("--worker-mode", choices=["thread", "process"],
-                       default="thread", dest="worker_mode",
-                       help="run classification on batcher threads or in "
-                            "snapshot-seeded worker processes")
-    serve.add_argument("--worker-procs", type=int, default=None,
-                       dest="worker_procs",
-                       help="worker-process count for --worker-mode="
-                            "process (default: sized from CPU count)")
     serve.add_argument("--max-queue", type=int, default=64, dest="max_queue",
                        help="admission-control bound; excess requests get 503")
     serve.add_argument("--batch-size", type=int, default=16,
@@ -312,9 +304,7 @@ def _cmd_extend(top: int) -> int:
 
 def _cmd_serve(port: int, train: int, on_error: str, workers: int,
                max_queue: int, batch_size: int, batch_wait_ms: float,
-               timeout: float, worker_mode: str = "thread",
-               worker_procs: int | None = None,
-               keepalive_idle_timeout: float = 30.0,
+               timeout: float, keepalive_idle_timeout: float = 30.0,
                keepalive_max_requests: int = 1000,
                replica_of: str | None = None,
                replication_interval: float = 1.0,
@@ -337,7 +327,6 @@ def _cmd_serve(port: int, train: int, on_error: str, workers: int,
     gateway = ServeGateway(service, GatewayConfig(
         workers=workers, max_queue=max_queue, max_batch_size=batch_size,
         max_wait_ms=batch_wait_ms, default_timeout=timeout,
-        worker_mode=worker_mode, worker_procs=worker_procs,
         # A replica's recommendations are the primary's business to
         # persist; writing them locally would just diverge the stores.
         persist=replica_of is None))
@@ -354,16 +343,12 @@ def _cmd_serve(port: int, train: int, on_error: str, workers: int,
         header_timeout=header_timeout)
     host, bound_port = server.address
     gateway.start()
-    pool_note = ""
-    if worker_mode == "process":
-        pool_note = (" + process pool" if gateway.pool_active
-                     else " (process pool unavailable; thread fallback)")
     replica_note = (f", replica of {replicator.primary_url} "
                     f"(poll every {replication_interval:g}s)"
                     if replicator is not None else "")
     print(f"QUEST running on http://{host}:{bound_port}/ "
           f"({transport} transport) — "
-          f"{workers} worker(s){pool_note}, queue bound {max_queue}, "
+          f"{workers} worker(s), queue bound {max_queue}, "
           f"batches up to {batch_size} ({batch_wait_ms:g} ms window)"
           f"{replica_note}; Ctrl+C to stop")
     report = None
@@ -499,13 +484,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "extend":
         return _cmd_extend(args.top)
     if args.command == "serve":
-        return _cmd_serve(args.port, args.train, args.on_error, args.workers,
-                          args.max_queue, args.batch_size, args.batch_wait_ms,
-                          args.timeout, args.worker_mode, args.worker_procs,
-                          args.keepalive_idle_timeout,
-                          args.keepalive_max_requests,
-                          args.replica_of, args.replication_interval,
-                          args.transport, args.header_timeout)
+        return _cmd_serve(
+            port=args.port, train=args.train, on_error=args.on_error,
+            workers=args.workers, max_queue=args.max_queue,
+            batch_size=args.batch_size, batch_wait_ms=args.batch_wait_ms,
+            timeout=args.timeout,
+            keepalive_idle_timeout=args.keepalive_idle_timeout,
+            keepalive_max_requests=args.keepalive_max_requests,
+            replica_of=args.replica_of,
+            replication_interval=args.replication_interval,
+            transport=args.transport, header_timeout=args.header_timeout)
     if args.command == "review":
         return _cmd_review(args.train, args.incoming, args.threshold,
                            args.limit)

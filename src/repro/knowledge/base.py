@@ -165,10 +165,10 @@ KnowledgeRow = tuple[int, str, str, tuple[str, ...], int]
 class FrozenKnowledgeView:
     """A read-only knowledge base rebuilt from exported rows.
 
-    Serving worker processes classify against this view: it answers
+    Read replicas classify against this view: it answers
     :meth:`candidates` exactly like :class:`KnowledgeBase.candidates`
     (same :class:`NodeCache` machinery, same row ids, same ordering) but
-    carries no relstore, no indexes and no write paths — nothing a worker
+    carries no relstore, no indexes and no write paths — nothing a replica
     could mutate behind the primary's back.
     """
 
@@ -358,7 +358,7 @@ class KnowledgeBase:
         """Every node as a plain picklable row, sorted by row id.
 
         The exported rows (with their original row ids) are what a
-        :class:`ModelSnapshot` payload ships to serving worker processes;
+        :class:`ModelSnapshot` payload ships to read replicas;
         :class:`FrozenKnowledgeView` rebuilds candidate retrieval from
         them with byte-identical ordering.
         """

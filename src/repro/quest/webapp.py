@@ -132,7 +132,7 @@ class QuestApp:
             gateway = ServeGateway(service, gateway_config)
         #: The serving gateway all suggest/assign traffic goes through.
         #: A default one (lazy worker pool) is built when none is given;
-        #: *gateway_config* tunes it (e.g. ``worker_mode="process"``)
+        #: *gateway_config* tunes it (e.g. ``workers`` or ``max_queue``)
         #: without the caller having to construct the gateway itself.
         self.gateway = gateway
         #: When set, this app is a **read replica** of the primary at

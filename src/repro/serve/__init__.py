@@ -9,13 +9,10 @@ around relstore mutations, and serving statistics.  See docs/serving.md.
 
 from .errors import (DeadlineExceededError, GatewayStoppedError,
                      QueueFullError, ReplicaWriteError, ServeError,
-                     SnapshotPayloadError, StaleSnapshotError,
-                     WorkerCrashError)
-from .gateway import DrainReport, GatewayConfig, ServeGateway, WORKER_MODES
+                     SnapshotPayloadError)
+from .gateway import DrainReport, GatewayConfig, ServeGateway
 from .httpclient import ClientResponse, HTTPClientError, PooledHTTPClient
 from .locks import RWLock
-from .procpool import (BrokenProcessPool, PoolStats, ProcessWorkerPool,
-                       WorkItem)
 from .queue import RequestQueue, SuggestRequest
 from .registry import (PAYLOAD_RETENTION, ModelRegistry, ModelSnapshot,
                        apply_payload_delta, diff_payloads)
@@ -37,7 +34,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "AsyncQuestServer",
-    "BrokenProcessPool",
     "ClientResponse",
     "DeadlineExceededError",
     "DrainReport",
@@ -48,8 +44,6 @@ __all__ = [
     "ModelRegistry",
     "ModelSnapshot",
     "PAYLOAD_RETENTION",
-    "PoolStats",
-    "ProcessWorkerPool",
     "QueueFullError",
     "REPLICATION_INTERVAL",
     "REPLICATION_TIMEOUT",
@@ -61,11 +55,7 @@ __all__ = [
     "ServeStats",
     "SnapshotPayloadError",
     "SnapshotReplicator",
-    "StaleSnapshotError",
     "SuggestRequest",
-    "WORKER_MODES",
-    "WorkItem",
-    "WorkerCrashError",
     "apply_payload_delta",
     "diff_payloads",
     "percentile",

@@ -31,22 +31,6 @@ class GatewayStoppedError(ServeError):
     completes requests; queued work rejected during drain carries this."""
 
 
-class WorkerCrashError(ServeError):
-    """A worker process died while it held this request's batch.
-
-    The request itself is never lost: the gateway treats the crash like a
-    transient classify fault — one in-process retry, then the degraded
-    chain — while the pool respawns the worker.
-    """
-
-
-class StaleSnapshotError(ServeError):
-    """A worker answered (or would answer) with an outdated model
-    snapshot version.  The primary rejects the stale result and re-serves
-    the request against the current snapshot instead of returning stale
-    suggestions."""
-
-
 class SnapshotPayloadError(ServeError):
     """A model snapshot could not be exported to / rebuilt from a payload
     (unsupported knowledge-base type, unknown format, or a delta applied

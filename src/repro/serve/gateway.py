@@ -28,7 +28,6 @@ and :class:`~repro.quest.service.QuestService`:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -41,17 +40,13 @@ from ..quest.errors import DegradedServiceError, UnknownBundleError
 from ..quest.service import QuestService, SuggestionView
 from ..quest.users import User
 from .errors import (DeadlineExceededError, GatewayStoppedError,
-                     SnapshotPayloadError, WorkerCrashError)
-from .procpool import BrokenProcessPool, ProcessWorkerPool, WorkItem
+                     SnapshotPayloadError)
 from ..triage import (OVERRIDE_CONFIDENCE, override_recommendation,
                       score_confidence)
 from .queue import RequestQueue, SuggestRequest
 from .registry import (PAYLOAD_FORMAT, ModelRegistry, ModelSnapshot,
                        diff_payloads)
 from .stats import ServeStats
-
-#: Recognised values of :attr:`GatewayConfig.worker_mode`.
-WORKER_MODES = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -78,15 +73,6 @@ class GatewayConfig:
     #: Persist freshly computed (healthy) recommendations, as the bare
     #: service's ``suggest(persist=True)`` does.
     persist: bool = True
-    #: ``"thread"`` serves batches on the batcher threads themselves;
-    #: ``"process"`` dispatches the CPU-heavy classification half to a
-    #: snapshot-seeded :class:`~repro.serve.procpool.ProcessWorkerPool`
-    #: (real cores instead of GIL time-slices), falling back to the
-    #: thread path whenever the pool cannot answer.
-    worker_mode: str = "thread"
-    #: Worker-process count for ``worker_mode="process"``; ``None`` sizes
-    #: the pool from the machine's CPU count.
-    worker_procs: int | None = None
 
 
 @dataclass(frozen=True)
@@ -116,14 +102,9 @@ class ServeGateway:
                  registry: ModelRegistry | None = None) -> None:
         self.service = service
         self.config = config or GatewayConfig()
-        if self.config.worker_mode not in WORKER_MODES:
-            raise ValueError(f"worker_mode must be one of {WORKER_MODES}, "
-                             f"not {self.config.worker_mode!r}")
         self.registry = (registry if registry is not None
                          else ModelRegistry.from_service(service))
         self.stats = ServeStats()
-        self._pool: ProcessWorkerPool | None = None
-        self._pool_lock = threading.Lock()
         self._queue = RequestQueue(self.config.max_queue)
         self._threads: list[threading.Thread] = []
         self._start_lock = threading.Lock()
@@ -222,8 +203,6 @@ class ServeGateway:
         with self._start_lock:
             if self._threads or self._stopped:
                 return
-            if self.config.worker_mode == "process":
-                self._pool = self._make_pool()
             for number in range(self.config.workers):
                 thread = threading.Thread(
                     target=self._worker_loop, daemon=True,
@@ -263,10 +242,6 @@ class ServeGateway:
         for thread in self._threads:
             thread.join(timeout=max(grace, 1.0))
         self._threads.clear()
-        pool = self._pool
-        if pool is not None:
-            self._pool = None
-            pool.stop()
         drained = self.stats.resolved_total() - completed_before
         return DrainReport(drained=drained, cancelled=len(leftovers),
                            grace_seconds=grace, clean=not leftovers)
@@ -324,7 +299,6 @@ class ServeGateway:
         self.stats.count("assignments")
         self.registry.bump()
         self.stats.count("swaps")
-        self._publish_snapshot()
 
     def define_error_code(self, actor: User, error_code: str, part_id: str,
                           description: str) -> None:
@@ -334,7 +308,6 @@ class ServeGateway:
                                            description)
         self.registry.bump()
         self.stats.count("swaps")
-        self._publish_snapshot()
 
     def register_bundles(self, bundles: list[DataBundle]) -> int:
         """Intake new bundles as one transaction (all land or none do)."""
@@ -342,22 +315,20 @@ class ServeGateway:
             count = self.service.register_bundles(bundles)
         self.registry.bump()
         self.stats.count("swaps")
-        self._publish_snapshot()
         return count
 
     def swap_models(self, **models) -> ModelSnapshot:
         """Publish retrained models (see :meth:`ModelRegistry.swap`)."""
         snapshot = self.registry.swap(**models)
         self.stats.count("swaps")
-        self._publish_snapshot()
         return snapshot
 
     def override(self, actor: User, ref_no: str, error_code: str,
                  reason: str = "") -> dict:
         """Pin an error code to a bundle transactionally.
 
-        The new snapshot carries the refreshed override map, so worker
-        processes and replicas serve the pin from the next version on.
+        The new snapshot carries the refreshed override map, so this
+        gateway and its replicas serve the pin from the next version on.
         """
         with self._write_txn():
             record = self.service.apply_override(actor, ref_no, error_code,
@@ -366,7 +337,6 @@ class ServeGateway:
         self.stats.count("overrides")
         self.registry.bump(overrides=overrides)
         self.stats.count("swaps")
-        self._publish_snapshot()
         return record
 
     def claim_review(self, actor: User,
@@ -391,33 +361,10 @@ class ServeGateway:
             self.stats.count("overrides")
             self.registry.bump(overrides=overrides)
             self.stats.count("swaps")
-            self._publish_snapshot()
         return outcome
 
     # ------------------------------------------------------------------ #
-    # process worker pool
-
-    @property
-    def pool_active(self) -> bool:
-        """Whether a process worker pool is currently serving."""
-        return self._pool is not None
-
-    def _make_pool(self) -> ProcessWorkerPool | None:
-        """Build + start the process pool, or fall back to thread mode.
-        Any startup failure (missing ``fork``/``spawn``, an unpicklable
-        model, a dead child) degrades to the in-process path instead of
-        taking the gateway down."""
-        procs = self.config.worker_procs or min(8, max(2, os.cpu_count()
-                                                       or 2))
-        try:
-            payload = self._export_payload()
-            self.registry.retain_payload(payload)
-            pool = ProcessWorkerPool(payload, procs=procs)
-            pool.start()
-            return pool
-        except Exception:
-            self.stats.count("pool_fallbacks")
-            return None
+    # replication (primary side)
 
     def _export_payload(self) -> dict:
         """Export the current snapshot from a committed MVCC version.
@@ -425,35 +372,13 @@ class ServeGateway:
         The read view pins the relstore rows the export reads; the lock's
         read side is still taken around the model walk because the
         knowledge base's node cache is write-through and unversioned — a
-        concurrent writer could otherwise mutate it mid-export.  Export
-        sites sit off the request path (pool seeding, post-write
-        publishes, replica polls), so holding the read side here never
-        stalls serving reads.
+        concurrent writer could otherwise mutate it mid-export.  Exports
+        happen only when a replica polls, off the request path, so holding
+        the read side here never stalls serving reads.
         """
         with self.service.database.read_view():
             with self.registry.store_lock.read_locked():
                 return self.registry.current().to_payload()
-
-    def _publish_snapshot(self) -> None:
-        """Ship the current snapshot to the worker pool after a write.
-
-        On any export/publish failure the workers keep their previous
-        payload and stale-reject batches for the new version — the
-        gateway then serves those in-process, so a failed publish can
-        never produce a stale answer."""
-        pool = self._pool
-        if pool is None:
-            return
-        try:
-            payload = self._export_payload()
-            self.registry.retain_payload(payload)
-            pool.publish(payload)
-        except Exception:
-            return
-        self.stats.count("publishes")
-
-    # ------------------------------------------------------------------ #
-    # replication (primary side)
 
     def replication_payload(self, base_version: int | None) -> dict:
         """Answer one replica poll: a delta against *base_version* when
@@ -461,10 +386,9 @@ class ServeGateway:
         when the replica is already caught up.
 
         Exports are made on demand (and retained in the registry) at poll
-        time, so thread-mode primaries — which never export on the write
-        path — pay the export cost at most once per version per poll
-        cycle; the previous poll's retained export is the next delta
-        base.
+        time, so the write path never exports and the primary pays the
+        export cost at most once per version per poll cycle; the previous
+        poll's retained export is the next delta base.
         """
         registry = self.registry
         full = registry.retained_payload(registry.version)
@@ -485,96 +409,17 @@ class ServeGateway:
                     return delta
         return full
 
-    def _disable_pool(self, pool: ProcessWorkerPool) -> None:
-        """Fall back to thread mode permanently — but only when the pool
-        really is broken; a transient :class:`BrokenProcessPool` during a
-        respawn window just means *this* batch serves in-process."""
-        if not pool.broken:
-            return
-        with self._pool_lock:
-            if self._pool is not pool:
-                return
-            self._pool = None
-        self.stats.count("pool_fallbacks")
-        try:
-            pool.stop()
-        except Exception:
-            pass
-
-    def _pool_classify(self, snapshot: ModelSnapshot,
-                       live: list[SuggestRequest],
-                       bundles: dict) -> dict:
-        """Classify the batch's un-memoized refs on the process pool.
-
-        Returns ``{ref_no: Recommendation}`` for whatever the pool
-        answered healthily; every ref it could not answer (stale worker,
-        crash, expiry in transit, classification error) is simply absent
-        and falls through to the in-process retry/degraded path.
-        """
-        pool = self._pool
-        if pool is None:
-            return {}
-        deadlines: dict[str, float | None] = {}
-        for request in live:
-            ref = request.ref_no
-            bundle = bundles.get(ref)
-            if bundle is None or isinstance(bundle, Exception):
-                continue
-            if ref in snapshot.overrides:
-                continue  # the pin answers; no classification needed
-            if self._recall_recommendation(snapshot, ref) is not None:
-                continue
-            if ref not in deadlines:
-                deadlines[ref] = request.deadline
-            elif deadlines[ref] is not None:
-                # None means "no deadline" — it absorbs any finite value,
-                # so duplicate refs get the *loosest* deadline in the batch.
-                deadlines[ref] = (None if request.deadline is None
-                                  else max(deadlines[ref], request.deadline))
-        if not deadlines:
-            return {}
-        items = [WorkItem(ref_no=ref, part_id=bundles[ref].part_id,
-                          document=test_document(
-                              bundles[ref].without_label()),
-                          deadline=deadline)
-                 for ref, deadline in deadlines.items()]
-        try:
-            outcomes = pool.classify_batch(items, version=snapshot.version)
-        except WorkerCrashError:
-            self.stats.count("worker_crashes")
-            return {}
-        except BrokenProcessPool:
-            self._disable_pool(pool)
-            return {}
-        self.stats.count("proc_batches")
-        precomputed, stale = {}, 0
-        for item, outcome in zip(items, outcomes):
-            if outcome[0] == "ok":
-                precomputed[item.ref_no] = outcome[1]
-            elif outcome[0] == "stale":
-                stale += 1
-        if stale:
-            self.stats.count("stale_rejected", stale)
-        if precomputed:
-            self.stats.count("proc_requests", len(precomputed))
-        return precomputed
-
     # ------------------------------------------------------------------ #
     # introspection
 
     def stats_snapshot(self) -> dict:
-        """Counters + latency percentiles + live queue/pool state."""
+        """Counters + latency percentiles + live queue state."""
         payload = self.stats.snapshot()
         payload["queue_depth"] = len(self._queue)
         payload["queue_capacity"] = self.config.max_queue
         payload["workers"] = self.config.workers
         payload["max_batch_size"] = self.config.max_batch_size
         payload["model_version"] = self.registry.version
-        payload["worker_mode"] = self.config.worker_mode
-        pool = self._pool
-        payload["pool_active"] = pool is not None
-        if pool is not None:
-            payload["pool"] = dict(pool.stats_snapshot(), procs=pool.procs)
         return payload
 
     # ------------------------------------------------------------------ #
@@ -637,27 +482,19 @@ class ServeGateway:
                     bundles[ref] = self._load_bundle(snapshot, ref)
                 except Exception as exc:
                     bundles[ref] = exc
-        try:
-            precomputed = self._pool_classify(snapshot, live, bundles)
-        except Exception:
-            # A pool-path surprise must degrade to in-process serving for
-            # this batch, never escape and kill the batcher thread.
-            self.stats.count("pool_errors")
-            precomputed = {}
         for request in live:
             bundle = bundles[request.ref_no]
             if isinstance(bundle, Exception):
                 request.reject(bundle)
                 self.stats.count("failed")
                 continue
-            if request.expired:  # e.g. while the pool batch was in flight
+            if request.expired:  # e.g. while earlier requests were served
                 request.reject(DeadlineExceededError(
                     f"suggest({request.ref_no!r}) expired while batched"))
                 self.stats.count("deadline_exceeded")
                 continue
             try:
-                view = self._serve_one(snapshot, bundle, features, codes,
-                                       precomputed.get(request.ref_no))
+                view = self._serve_one(snapshot, bundle, features, codes)
             except Exception as exc:
                 request.reject(exc)
                 self.stats.count("failed")
@@ -688,16 +525,11 @@ class ServeGateway:
     # per-request classification with retry + degraded fallback
 
     def _serve_one(self, snapshot: ModelSnapshot, bundle: DataBundle,
-                   features: dict, codes: dict,
-                   precomputed=None) -> SuggestionView:
+                   features: dict, codes: dict) -> SuggestionView:
         """Classify one live request; retry once, then degrade.
 
         *features*/*codes* are the batch-local views of the memo tables —
         duplicate refs and same-part requests in the batch reuse them.
-        *precomputed* is a recommendation the process pool already
-        produced under this snapshot version (byte-identical to what
-        :meth:`_classify_one` would compute); when present the in-process
-        classification is skipped entirely.
         """
         degraded = None
         pinned = snapshot.overrides.get(bundle.ref_no)
@@ -712,21 +544,18 @@ class ServeGateway:
             recommendation = self._recall_recommendation(snapshot,
                                                          bundle.ref_no)
             if recommendation is None:
-                if precomputed is not None:
-                    recommendation = precomputed
-                else:
+                try:
+                    recommendation = self._classify_one(snapshot, bundle,
+                                                        features)
+                except Exception as first:
+                    self.stats.count("retried")
                     try:
                         recommendation = self._classify_one(snapshot, bundle,
                                                             features)
-                    except Exception as first:
-                        self.stats.count("retried")
-                        try:
-                            recommendation = self._classify_one(
-                                snapshot, bundle, features)
-                        except Exception:
-                            recommendation, degraded = self._degraded_one(
-                                snapshot, bundle, first)
-                            self.stats.count("degraded")
+                    except Exception:
+                        recommendation, degraded = self._degraded_one(
+                            snapshot, bundle, first)
+                        self.stats.count("degraded")
                 if degraded is None:
                     # Healthy answers are deterministic per snapshot (writes
                     # install a new one, resetting this memo), so repeat

@@ -216,12 +216,12 @@ class ModelSnapshot:
     frequency_baseline: CodeFrequencyBaseline
     fallback_classifier: RankedKnnClassifier | None = None
     #: Active engineer overrides (``{ref_no: error_code}``).  Part of the
-    #: snapshot so every executor — in-process, worker process, replica —
+    #: snapshot so every executor — in-process, gateway, replica —
     #: serves the same pins for the same version.
     overrides: dict[str, str] = field(default_factory=dict)
 
     # -------------------------------------------------------------- #
-    # process-boundary export/import
+    # export/import across the replication wire
 
     def to_payload(self) -> dict:
         """Export this snapshot as one picklable payload dict.

@@ -6,8 +6,8 @@ any number of **replica** gateways serve reads from replicated
 :class:`~repro.serve.registry.ModelSnapshot`\\ s and refuse writes with
 HTTP 405 pointing at the primary.
 
-The wire protocol reuses the process-pool payload format (PR 4) over the
-pooled keep-alive client (PR 5):
+The wire protocol ships :meth:`~repro.serve.registry.ModelSnapshot.to_payload`
+payloads over the pooled keep-alive client:
 
 * a replica polls ``GET /api/replicate?base=<version>`` on the primary
   every ``interval`` seconds (``base`` omitted until the first payload
@@ -31,8 +31,7 @@ restarted, retention evicted the base) drops the held payload so the
 next poll requests a full payload — the replica converges instead of
 wedging.
 
-The payloads travel as pickles, exactly like the process-pool pipe
-traffic they reuse; replication therefore assumes the same trust
+The payloads travel as pickles, so replication assumes the same trust
 boundary as the rest of the serving cluster (do not point a replica at
 an untrusted primary).
 

@@ -9,15 +9,45 @@ over its whole life.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
+from fractions import Fraction
 
 #: How many recent request latencies feed the percentile estimates.
 LATENCY_WINDOW = 4096
 
+#: Every counter of :class:`ServeStats`, in ``snapshot()`` order.  Each
+#: name is an attribute (starting at 0) and a ``snapshot()`` key; adding a
+#: counter is one line here.
+COUNTERS = (
+    "submitted",          # requests offered to admission control
+    "rejected",           # shed by the bounded queue (503)
+    "completed",          # resolved with a suggestion view
+    "failed",             # resolved with an error
+    "deadline_exceeded",  # expired before/while being served (504)
+    "cancelled",          # dropped by shutdown drain
+    "batches",            # worker batch executions
+    "batched_requests",   # requests processed inside batches
+    "retried",            # per-request retries after a worker fault
+    "degraded",           # served through the degraded chain
+    "memo_hits",          # served from the per-version result memo
+    "assignments",        # writes routed through the write lock
+    "overrides",          # engineer override pins recorded
+    "override_hits",      # suggests answered by a pinned override
+    "reviews",            # review-queue claims/resolves routed
+    "swaps",              # model-snapshot swaps/bumps observed
+    "batch_failures",     # batches rejected by the catch-all guard
+    "slow_client_sheds",  # connections shed by the header deadline
+)
+
 
 def percentile(values: list[float], fraction: float) -> float:
     """Nearest-rank percentile of *values* (``fraction`` in [0, 1]).
+
+    The rank is ``ceil(fraction * n)`` (at least 1), computed exactly on
+    the decimal *fraction* as written: in floats ``0.28 * 25`` is
+    ``7.000000000000001``, whose ceiling would skip a rank.
 
     Returns 0.0 for an empty input so a cold server's ``/stats`` endpoint
     is well-formed.
@@ -27,8 +57,8 @@ def percentile(values: list[float], fraction: float) -> float:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be within [0, 1]")
     ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, round(fraction * len(ordered)) - 1))
-    return ordered[rank]
+    rank = math.ceil(Fraction(str(fraction)) * len(ordered))
+    return ordered[max(1, rank) - 1]
 
 
 class ServeStats:
@@ -37,31 +67,8 @@ class ServeStats:
     def __init__(self, window: int = LATENCY_WINDOW) -> None:
         self._lock = threading.Lock()
         self._latencies: deque[float] = deque(maxlen=window)
-        self.submitted = 0          # requests offered to admission control
-        self.rejected = 0           # shed by the bounded queue (503)
-        self.completed = 0          # resolved with a suggestion view
-        self.failed = 0             # resolved with an error
-        self.deadline_exceeded = 0  # expired before/while being served (504)
-        self.cancelled = 0          # dropped by shutdown drain
-        self.batches = 0            # worker batch executions
-        self.batched_requests = 0   # requests processed inside batches
-        self.retried = 0            # per-request retries after a worker fault
-        self.degraded = 0           # served through the degraded chain
-        self.memo_hits = 0          # served from the per-version result memo
-        self.assignments = 0        # writes routed through the write lock
-        self.overrides = 0          # engineer override pins recorded
-        self.override_hits = 0      # suggests answered by a pinned override
-        self.reviews = 0            # review-queue claims/resolves routed
-        self.swaps = 0              # model-snapshot swaps/bumps observed
-        self.proc_batches = 0       # batches dispatched to worker processes
-        self.proc_requests = 0      # requests classified by worker processes
-        self.stale_rejected = 0     # stale-version worker answers rejected
-        self.worker_crashes = 0     # worker-process deaths absorbed
-        self.publishes = 0          # snapshot payloads shipped to the pool
-        self.pool_fallbacks = 0     # broken-pool fallbacks to thread mode
-        self.pool_errors = 0        # unexpected pool-path errors absorbed
-        self.batch_failures = 0     # batches rejected by the catch-all guard
-        self.slow_client_sheds = 0  # connections shed by the header deadline
+        for name in COUNTERS:
+            setattr(self, name, 0)
 
     # ------------------------------------------------------------------ #
     # recording
@@ -109,33 +116,7 @@ class ServeStats:
         """A point-in-time dict of every counter plus p50/p95/p99 (ms)."""
         with self._lock:
             values = list(self._latencies)
-            counters = {
-                "submitted": self.submitted,
-                "rejected": self.rejected,
-                "completed": self.completed,
-                "failed": self.failed,
-                "deadline_exceeded": self.deadline_exceeded,
-                "cancelled": self.cancelled,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "retried": self.retried,
-                "degraded": self.degraded,
-                "memo_hits": self.memo_hits,
-                "assignments": self.assignments,
-                "overrides": self.overrides,
-                "override_hits": self.override_hits,
-                "reviews": self.reviews,
-                "swaps": self.swaps,
-                "proc_batches": self.proc_batches,
-                "proc_requests": self.proc_requests,
-                "stale_rejected": self.stale_rejected,
-                "worker_crashes": self.worker_crashes,
-                "publishes": self.publishes,
-                "pool_fallbacks": self.pool_fallbacks,
-                "pool_errors": self.pool_errors,
-                "batch_failures": self.batch_failures,
-                "slow_client_sheds": self.slow_client_sheds,
-            }
+            counters = {name: getattr(self, name) for name in COUNTERS}
         counters["mean_batch_size"] = (
             round(counters["batched_requests"] / counters["batches"], 3)
             if counters["batches"] else 0.0)

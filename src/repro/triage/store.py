@@ -90,7 +90,7 @@ class OverrideStore:
         """All active pins as ``{ref_no: error_code}``.
 
         This is the mapping that joins the :class:`ModelSnapshot` payload
-        so worker processes and replicas serve overrides consistently.
+        so the gateway and its replicas serve overrides consistently.
         """
         pins: dict[str, str] = {}
         for row in self._table.select(col("superseded_by").is_null()):

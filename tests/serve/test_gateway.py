@@ -147,7 +147,6 @@ class TestAdmission:
             for thread in threads:
                 thread.start()
         finally:
-            import time
             time.sleep(0.2)  # let the queue fill against the blocked worker
             unblock.set()
             for thread in threads:
@@ -159,43 +158,6 @@ class TestAdmission:
 
 
 class TestBatcherResilience:
-    def test_duplicate_refs_merge_none_deadline_as_no_deadline(self, gateway):
-        """Regression: merging a finite deadline with a no-deadline
-        duplicate of the same ref used to raise TypeError (None vs float)
-        and kill the batcher thread; the merge must widen to the loosest
-        deadline in the batch instead."""
-        gw, quest, held_out = gateway
-        ref_a, ref_b, ref_c = (bundle.ref_no for bundle in held_out[:3])
-        dispatched = {}
-
-        class StubPool:
-            def classify_batch(self, items, version):
-                for item in items:
-                    dispatched[item.ref_no] = item.deadline
-                return [("ok", object())] * len(items)
-
-        gw._pool = StubPool()
-        try:
-            now = time.monotonic()
-            live = [  # finite-then-None, None-then-finite, finite-only
-                SuggestRequest(ref_no=ref_a, deadline=now + 5.0),
-                SuggestRequest(ref_no=ref_a, deadline=None),
-                SuggestRequest(ref_no=ref_b, deadline=None),
-                SuggestRequest(ref_no=ref_b, deadline=now + 2.0),
-                SuggestRequest(ref_no=ref_c, deadline=now + 1.0),
-                SuggestRequest(ref_no=ref_c, deadline=now + 9.0),
-            ]
-            bundles = {ref: quest.bundle(ref)
-                       for ref in (ref_a, ref_b, ref_c)}
-            precomputed = gw._pool_classify(gw.registry.current(), live,
-                                            bundles)
-        finally:
-            gw._pool = None
-        assert dispatched[ref_a] is None
-        assert dispatched[ref_b] is None
-        assert dispatched[ref_c] == pytest.approx(now + 9.0)
-        assert set(precomputed) == {ref_a, ref_b, ref_c}
-
     def test_batcher_thread_survives_process_batch_crash(self, gateway):
         """Regression: an unexpected exception escaping _process_batch
         used to kill the batcher thread permanently (callers of that

@@ -1,25 +1,26 @@
 """Cross-executor parity: the ranked lists must be byte-identical.
 
 Three executors answer the same ``suggest`` requests over one shared
-service + model registry:
+service:
 
 1. the bare in-process ``QuestService.suggest``,
-2. a thread-mode :class:`ServeGateway` (batcher threads classify),
-3. a process-mode :class:`ServeGateway` (classification runs in
-   snapshot-seeded worker processes).
+2. a :class:`ServeGateway` (batcher threads classify against the
+   registry's snapshot, through the per-version memos),
+3. a replicated gateway whose snapshot arrived over ``/api/replicate``.
 
 For five corpus seeds, every executor must produce byte-identical ranked
 recommendation lists — including *after* a mid-run write that bumps the
-snapshot version and ships a payload delta to the worker processes.
+snapshot version, and after an engineer's override pin.
 
 Comparison serializes each view through JSON, not pickle: pickle output
 depends on object *identity* (strings shared between the ranked list and
 the code list serialize as memo backreferences locally but not after a
-pipe transfer), while JSON bytes are a pure function of the values —
+network transfer), while JSON bytes are a pure function of the values —
 which is exactly the parity being claimed.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -83,105 +84,66 @@ def parity_setup(request, taxonomy):
     return seed, service, held
 
 
-def make_gateways(service):
-    """A thread-mode and a process-mode gateway over ONE shared registry
-    (so a write through either bumps the version both serve under)."""
-    registry = ModelRegistry.from_service(service)
-    config = dict(workers=2, max_queue=64, max_batch_size=8,
-                  max_wait_ms=1.0, default_timeout=10.0, drain_grace=2.0,
-                  persist=False)
-    thread_gw = ServeGateway(service, GatewayConfig(**config),
-                             registry=registry)
-    process_gw = ServeGateway(
-        service, GatewayConfig(worker_mode="process", worker_procs=2,
-                               **config),
-        registry=registry)
-    return thread_gw, process_gw
+def make_gateway(service):
+    """A gateway over *service* with a small batch window, persisting
+    nothing so the bare service stays the untouched reference."""
+    return ServeGateway(service, GatewayConfig(
+        workers=2, max_queue=64, max_batch_size=8, max_wait_ms=1.0,
+        default_timeout=10.0, drain_grace=2.0, persist=False))
 
 
-def test_three_executors_agree_across_a_write(parity_setup):
+def test_gateway_agrees_across_a_write(parity_setup):
     seed, service, held = parity_setup
     refs = [bundle.ref_no for bundle in held]
-    thread_gw, process_gw = make_gateways(service)
+    gw = make_gateway(service)
     try:
-        process_gw.start()
-        assert process_gw.pool_active, "process pool failed to start"
-
-        # ---- phase 1: a cold read pass through all three executors ----
+        # ---- phase 1: a cold read pass ----
         baseline = {ref: ranked_bytes(service.suggest(ref, persist=False))
                     for ref in refs}
         for ref in refs:
-            assert ranked_bytes(thread_gw.suggest(ref)) == baseline[ref], \
-                f"seed {seed}: thread gateway diverged on {ref}"
-        for ref in refs:
-            assert ranked_bytes(process_gw.suggest(ref)) == baseline[ref], \
-                f"seed {seed}: process gateway diverged on {ref}"
-        phase1 = process_gw.stats_snapshot()
-        assert phase1["proc_requests"] >= len(refs), \
-            "the process pool never actually served"
-        assert phase1["stale_rejected"] == 0
+            assert ranked_bytes(gw.suggest(ref)) == baseline[ref], \
+                f"seed {seed}: gateway diverged on {ref}"
 
-        # ---- phase 2: a write bumps the version mid-run ----
+        # ---- phase 2: a write through the gateway bumps the version ----
         view = service.suggest(refs[0], persist=False)
-        code = view.all_codes[0]
-        process_gw.assign(User("parity-power", Role.POWER_EXPERT),
-                          refs[0], code)
-        assert process_gw.registry.version == 2
-        assert process_gw.stats_snapshot()["publishes"] == 1
+        gw.assign(User("parity-power", Role.POWER_EXPERT), refs[0],
+                  view.all_codes[0])
+        assert gw.registry.version == 2
 
         baseline2 = {ref: ranked_bytes(service.suggest(ref, persist=False))
                      for ref in refs}
         for ref in refs:
-            assert ranked_bytes(thread_gw.suggest(ref)) == baseline2[ref], \
-                f"seed {seed}: thread gateway diverged post-write on {ref}"
-        for ref in refs:
-            assert ranked_bytes(process_gw.suggest(ref)) == baseline2[ref], \
-                f"seed {seed}: process gateway diverged post-write on {ref}"
-
-        # the post-write pass was still served by the (delta-updated)
-        # pool, not silently by the in-process fallback
-        phase2 = process_gw.stats_snapshot()
-        assert phase2["proc_requests"] >= phase1["proc_requests"] + len(refs)
-        assert phase2["stale_rejected"] == 0
-        assert phase2["pool"]["delta_publishes"] >= 1
+            assert ranked_bytes(gw.suggest(ref)) == baseline2[ref], \
+                f"seed {seed}: gateway diverged post-write on {ref}"
     finally:
-        thread_report = thread_gw.stop(grace=2.0)
-        process_report = process_gw.stop(grace=2.0)
-    assert thread_report.cancelled == 0
-    assert process_report.cancelled == 0
+        report = gw.stop(grace=2.0)
+    assert report.cancelled == 0
 
 
 def test_override_parity_across_executors(parity_setup):
-    """An engineer pin through one gateway is served byte-identically —
+    """An engineer pin through the gateway is served byte-identically —
     ``source="override"``, full confidence, single pinned code — by the
-    bare service, the thread gateway and the worker-process pool."""
+    bare service and the gateway."""
     seed, service, held = parity_setup
     refs = [bundle.ref_no for bundle in held]
     pinned_ref = refs[1]
-    thread_gw, process_gw = make_gateways(service)
+    gw = make_gateway(service)
     try:
-        process_gw.start()
-        assert process_gw.pool_active, "process pool failed to start"
-        pin = next(code for code in
-                   service.suggest(pinned_ref, persist=False).all_codes)
-        thread_gw.override(User("parity-power", Role.POWER_EXPERT),
-                           pinned_ref, pin, reason="parity pin")
+        pin = service.suggest(pinned_ref, persist=False).all_codes[0]
+        gw.override(User("parity-power", Role.POWER_EXPERT), pinned_ref,
+                    pin, reason="parity pin")
 
         expected = {ref: ranked_bytes(service.suggest(ref, persist=False))
                     for ref in refs}
         pinned_view = service.suggest(pinned_ref, persist=False)
         assert pinned_view.source == "override"
         assert pinned_view.suggestions.codes[0].error_code == pin
-        for gw, label in ((thread_gw, "thread"), (process_gw, "process")):
-            for ref in refs:
-                assert ranked_bytes(gw.suggest(ref)) == expected[ref], \
-                    f"seed {seed}: {label} gateway diverged on {ref} " \
-                    f"after the pin"
-        assert thread_gw.stats_snapshot()["override_hits"] >= 1
-        assert process_gw.stats_snapshot()["override_hits"] >= 1
+        for ref in refs:
+            assert ranked_bytes(gw.suggest(ref)) == expected[ref], \
+                f"seed {seed}: gateway diverged on {ref} after the pin"
+        assert gw.stats_snapshot()["override_hits"] >= 1
     finally:
-        thread_gw.stop(grace=2.0)
-        process_gw.stop(grace=2.0)
+        gw.stop(grace=2.0)
 
 
 def test_replica_converges_byte_identical(parity_setup):
@@ -253,17 +215,27 @@ def test_replica_converges_byte_identical(parity_setup):
 
 
 def test_duplicate_refs_agree_within_one_batch(parity_setup):
-    """Duplicate refs inside one micro-batch coalesce on the memo and the
-    pool path alike — every copy gets the identical ranked list."""
+    """Concurrent duplicates of one ref coalesce on the batch-local and
+    per-version memos — every copy gets the identical ranked list."""
     seed, service, held = parity_setup
     ref = held[0].ref_no
     expected = ranked_bytes(service.suggest(ref, persist=False))
-    _, process_gw = make_gateways(service)
+    gw = make_gateway(service)
+    answers, errors = [], []
+
+    def client():
+        try:
+            answers.append(ranked_bytes(gw.suggest(ref)))
+        except Exception as exc:  # pragma: no cover - the assertion
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client) for _ in range(6)]
     try:
-        process_gw.start()
-        assert process_gw.pool_active
-        for _ in range(6):
-            assert ranked_bytes(process_gw.suggest(ref)) == expected, \
-                f"seed {seed}: repeat suggest diverged"
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=15.0)
     finally:
-        process_gw.stop(grace=2.0)
+        gw.stop(grace=2.0)
+    assert not errors, f"seed {seed}: {errors!r}"
+    assert answers == [expected] * 6, f"seed {seed}: a duplicate diverged"

@@ -1,6 +1,6 @@
 """Snapshot payload export/import properties (hypothesis-driven).
 
-The process pool's correctness rests on one claim: a payload-rebuilt
+Snapshot replication's correctness rests on one claim: a payload-rebuilt
 snapshot classifies byte-identically to the snapshot it was exported
 from, and applying a delta equals shipping the full payload.  These
 tests generate arbitrary little knowledge bases and query documents and
@@ -63,12 +63,13 @@ EXTRACTOR = BagOfWordsExtractor()
 
 
 def classify_all(snapshot, documents):
-    items = [(f"R{number}", part_id, document)
-             for number, (part_id, document) in enumerate(documents)]
+    classifier = snapshot.classifier
     return pickle.dumps([
         [(code.error_code, code.score, code.support)
-         for code in recommendation.codes]
-        for recommendation in snapshot.classifier.classify_documents(items)])
+         for code in classifier.rank_codes(
+             part_id, classifier.extractor.extract_text(document),
+             ref_no=f"R{number}").codes]
+        for number, (part_id, document) in enumerate(documents)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -76,7 +77,7 @@ def classify_all(snapshot, documents):
 def test_round_trip_preserves_classification(rows, documents):
     """from_payload(to_payload(s)) answers every query identically."""
     original = ModelSnapshot.from_payload(payload_from_rows(rows))
-    # the wire hop: what the worker receives really is a pickled copy
+    # the wire hop: what a replica receives really is a pickled copy
     wire = pickle.loads(pickle.dumps(original.to_payload()))
     rebuilt = ModelSnapshot.from_payload(wire)
     assert rebuilt.version == original.version
@@ -135,7 +136,7 @@ def test_delta_round_trip_is_byte_identical(old_rows, new_rows):
 @settings(max_examples=20, deadline=None)
 @given(rows=rows_strategy)
 def test_delta_against_wrong_base_is_refused(rows):
-    """A worker must never apply a delta to the wrong base version."""
+    """A replica must never apply a delta to the wrong base version."""
     base = payload_from_rows(rows, version=1)
     changed = dict(base["classifier"])
     changed_rows = list(changed["rows"])

@@ -1,11 +1,15 @@
 """ServeStats counters, latency window and percentiles."""
 
+import math
 import threading
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.serve import ServeStats, percentile
+from repro.serve.stats import COUNTERS
 
 
 class TestPercentile:
@@ -19,6 +23,23 @@ class TestPercentile:
         assert percentile(values, 0.99) == 10.0
         assert percentile(values, 0.0) == 1.0
         assert percentile(values, 1.0) == 10.0
+
+    def test_rank_is_an_exact_ceiling(self):
+        # round() halves to even, so these two used to return 2
+        assert percentile([1.0, 2.0, 3.0, 4.0, 5.0], 0.5) == 3.0
+        assert percentile([float(value) for value in range(1, 11)],
+                          0.25) == 3.0
+        # 0.28 * 25 == 7.000000000000001 in floats; the rank is 7, not 8
+        assert percentile([float(value) for value in range(1, 26)],
+                          0.28) == 7.0
+
+    @given(values=st.lists(st.integers(-1000, 1000), min_size=1,
+                           max_size=60),
+           per_mille=st.integers(0, 1000))
+    def test_matches_exact_nearest_rank(self, values, per_mille):
+        exact = Fraction(per_mille, 1000)
+        rank = max(1, math.ceil(exact * len(values)))
+        assert percentile(values, per_mille / 1000) == sorted(values)[rank - 1]
 
     def test_unsorted_input(self):
         assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0
@@ -39,6 +60,14 @@ class TestServeStats:
         assert snap["submitted"] == 3
         assert snap["completed"] == 2
         assert snap["mean_batch_size"] == 2.0
+
+    def test_snapshot_keys_are_the_counters_plus_derived(self):
+        assert set(ServeStats().snapshot()) == set(COUNTERS) | {
+            "mean_batch_size", "p50_ms", "p95_ms", "p99_ms"}
+
+    def test_unknown_counter_raises(self):
+        with pytest.raises(AttributeError):
+            ServeStats().count("no_such_counter")
 
     def test_latency_percentiles_in_ms(self):
         stats = ServeStats()

@@ -14,11 +14,7 @@ measures the same thing with nothing beyond the standard library:
 * the denominator is the set of *executable* lines, derived from each
   module's compiled code objects (``co_lines`` over the nested code-object
   tree), which is how coverage tools define it — comments and blank lines
-  don't dilute the rate;
-* worker *processes* don't report back; everything in
-  ``procpool._worker_main`` downward that only runs in a child is listed
-  in ``SUBPROCESS_EXEMPT`` and excluded from the denominator, the same
-  way ``# pragma: no cover`` would be.
+  don't dilute the rate.
 
 Each target directory is globbed, so new modules join the denominator
 automatically.
@@ -54,23 +50,15 @@ TARGETS = (
 #: improves; never lower it to make a build pass.
 FAIL_UNDER = 85.0
 
-#: Functions whose bodies only execute inside forked worker processes
-#: (the in-process tracer cannot see them).  Their lines leave the
-#: denominator, mirroring a ``# pragma: no cover`` marker.
-SUBPROCESS_EXEMPT = {"procpool.py": ("_worker_main",)}
-
 
 def executable_lines(path: Path) -> set[int]:
     """The executable line numbers of *path* (compiled, not regexed)."""
     source = path.read_text(encoding="utf-8")
     code = compile(source, str(path), "exec")
     lines: set[int] = set()
-    exempt_funcs = SUBPROCESS_EXEMPT.get(path.name, ())
     stack = [code]
     while stack:
         obj = stack.pop()
-        if obj.co_name in exempt_funcs:
-            continue
         lines.update(line for _, _, line in obj.co_lines()
                      if line is not None)
         stack.extend(const for const in obj.co_consts
