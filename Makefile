@@ -12,10 +12,11 @@ test:
 	$(MAKE) test-aio
 	$(MAKE) coverage
 
-# The asyncio transport: its own unit suite plus the keep-alive wire
-# contract parameterized over both transports (thread + async).
+# The asyncio transport: its own unit suite, the sans-IO HTTP/1.1 core
+# both transports drive, and the keep-alive wire contract parameterized
+# over both transports (thread + async).
 test-aio:
-	$(PYTHON) -m pytest tests/serve/test_aio.py tests/quest/test_keepalive.py -q
+	$(PYTHON) -m pytest tests/serve/test_aio.py tests/serve/test_http11.py tests/quest/test_keepalive.py -q
 
 # Tier-2: seeded fault-injection scenarios (torn WALs, bit flips,
 # crashes mid-save, poisoned CASes, slow/flaky serving workers) across
@@ -33,10 +34,10 @@ test-serve:
 test-parity:
 	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py -q
 
-# The HTTP transport on its own: webapp routes, keep-alive wire
-# behavior, and the pooled client.
+# The HTTP transport on its own: webapp routes, the sans-IO HTTP/1.1
+# core, keep-alive wire behavior, and the pooled client.
 test-http:
-	$(PYTHON) -m pytest tests/quest/test_webapp.py tests/quest/test_keepalive.py tests/serve/test_httpclient.py -q
+	$(PYTHON) -m pytest tests/quest/test_webapp.py tests/serve/test_http11.py tests/quest/test_keepalive.py tests/serve/test_httpclient.py -q
 
 # Snapshot replication: the primary's /api/replicate endpoint, replica
 # catch-up/partition behavior, and the replicated-executor parity test.

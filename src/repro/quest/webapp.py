@@ -1,4 +1,4 @@
-"""A minimal QUEST web application on the standard library HTTP server.
+"""A minimal QUEST web application and its threaded HTTP/1.1 server.
 
 Substitute for the paper's PrimeFaces/WSO2 stack (§4.5.4): the same
 user-visible functions — bundle list, top-10 suggestion screen with
@@ -7,41 +7,40 @@ list, and the cross-source comparison — served as plain HTML, plus a
 machine-readable JSON API (``/api/suggest/<ref>``, ``/api/assign``,
 ``/api/stats``) for programmatic clients.
 
-The transport speaks **HTTP/1.1 with keep-alive**: connections persist
-across requests (bounded by a per-connection request cap and an idle
-timeout), every response carries an exact ``Content-Length`` — error
-pages included — and a draining server answers with ``Connection:
-close`` so ``stop()`` converges instead of waiting out idle sockets.
-Because a desynchronized connection under keep-alive corrupts the *next*
-request, the handler always consumes a POST's declared body (or closes
-the connection when the declared length is unusable) before answering.
+:class:`QuestApp` holds the routes and delegates all logic to the
+serving gateway (:class:`~repro.serve.ServeGateway`) and the pure view
+functions.  The gateway owns queueing, micro-batching, deadlines and
+the store's reader-writer lock; read-only screens take the gateway's
+read guard so a concurrent write can never produce a torn read.
+Overload surfaces as HTTP 503 (queue full / shutdown) and 504 (deadline
+exceeded), and the live counters are served as JSON on ``/stats`` and
+``/api/stats``.  :meth:`QuestApp.respond` answers one event of the
+HTTP/1.1 core (:mod:`repro.serve.http11`), protocol errors included.
 
-The handler delegates all logic to the serving gateway
-(:class:`~repro.serve.ServeGateway`) and the pure view functions, so it
-stays a thin transport layer.  The gateway owns queueing, micro-batching,
-deadlines and the store's reader-writer lock; read-only screens take the
-gateway's read guard so a concurrent write can never produce a torn
-read.  Overload surfaces as HTTP 503 (queue full / shutdown) and 504
-(deadline exceeded), both with ``Retry-After``, and the live counters
-are served as JSON on ``/stats`` and ``/api/stats``.
+:class:`QuestServer` is one of the two transports over that core: a
+thread per connection feeds it what ``recv`` reads and writes what it
+answers with ``sendall``.  Keep-alive, body framing, limits, deadlines
+and response headers are the core's; the event-loop transport is
+:class:`~repro.serve.aio.AsyncQuestServer`.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import socket
+import socketserver
 import threading
-import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
 
 from ..data.schema import load_bundles
 from ..relstore.errors import IntegrityError
-# Only the leaf errors module at import time: repro.serve.gateway imports
-# the quest service layer, so pulling the gateway in here would close an
-# import cycle through quest/__init__.  The gateway class itself is
-# imported lazily in QuestApp.__init__.
+# Only leaf serve modules at import time (errors, http11):
+# repro.serve.gateway imports the quest service layer, so pulling the
+# gateway in here would close an import cycle through quest/__init__.
+# The gateway class itself is imported lazily in QuestApp.__init__.
+from ..serve import http11
 from ..serve.errors import (DeadlineExceededError, GatewayStoppedError,
                             QueueFullError, ReplicaWriteError, ServeError)
 from ..triage import part_profiles
@@ -53,27 +52,6 @@ from . import views
 
 if TYPE_CHECKING:
     from ..serve.gateway import DrainReport, ServeGateway
-
-#: Upper bound on an accepted POST body.  Longer declared bodies are
-#: refused with 413 before reading, so one oversized upload cannot pin a
-#: keep-alive handler thread.
-MAX_BODY_BYTES = 1 << 20
-
-#: Default cap on requests served over one keep-alive connection; the
-#: response that hits the cap carries ``Connection: close``.
-MAX_REQUESTS_PER_CONNECTION = 1000
-
-#: Default seconds a keep-alive connection may idle between requests.
-KEEPALIVE_IDLE_TIMEOUT = 30.0
-
-#: Once the first byte of a request has arrived, the rest of the request
-#: line and headers must arrive within this many seconds.  A socket-level
-#: idle timeout alone cannot bound this: every dribbled byte resets the
-#: per-``recv`` clock, so a slowloris client sending one byte per second
-#: could pin a handler (a whole thread, on the threaded transport)
-#: forever — and past the drain grace during ``stop()``.
-HEADER_TIMEOUT = 10.0
-
 
 def _failure_response(exc: Exception) -> tuple[int, str]:
     """Map a service/gateway failure to ``(HTTP status, title)``.
@@ -113,6 +91,15 @@ def _is_json_path(path: str) -> bool:
     return path == "/stats" or path.startswith("/api/")
 
 
+def _content_type(path: str, body: str | bytes) -> str:
+    if isinstance(body, bytes):
+        # Only /api/replicate answers bytes: a pickled payload.
+        return "application/octet-stream"
+    if _is_json_path(path):
+        return "application/json"
+    return "text/html; charset=utf-8"
+
+
 class QuestApp:
     """Bundles the gateway, users and (optional) comparison for serving."""
 
@@ -131,9 +118,10 @@ class QuestApp:
             from ..serve.gateway import ServeGateway
             gateway = ServeGateway(service, gateway_config)
         #: The serving gateway all suggest/assign traffic goes through.
-        #: A default one (lazy worker pool) is built when none is given;
-        #: *gateway_config* tunes it (e.g. ``workers`` or ``max_queue``)
-        #: without the caller having to construct the gateway itself.
+        #: A default one (its batcher threads start on first use) is built
+        #: when none is given; *gateway_config* tunes it (e.g. ``workers``
+        #: or ``max_queue``) without the caller having to construct the
+        #: gateway itself.
         self.gateway = gateway
         #: When set, this app is a **read replica** of the primary at
         #: that URL: every POST is refused with 405 pointing there.
@@ -378,329 +366,78 @@ class QuestApp:
                 "Created", f"error code {form.get('error_code')} created.")
         return 404, views.render_message("Not found", f"no action {path!r}")
 
+    def respond(self, event: http11.Request | http11.ProtocolError
+                ) -> http11.Response:
+        """Answer one request event of the HTTP/1.1 core.
 
-class _HeaderDeadlineError(TimeoutError):
-    """The request head dribbled past :data:`HEADER_TIMEOUT` (slowloris).
-
-    Subclasses :class:`TimeoutError` so the stdlib handler's existing
-    timeout path closes the connection without a response — exactly what
-    an idle-timeout expiry does today.
-    """
-
-
-class _DeadlineReader:
-    """Buffered read side of a handler socket with per-phase deadlines.
-
-    Replaces the ``makefile``-based ``rfile``: the stdlib's buffered
-    reader applies the socket timeout per ``recv``, so a client dribbling
-    the request head byte-by-byte resets the clock on every byte.  This
-    reader drives ``recv`` itself and distinguishes three phases:
-
-    * **idle** — waiting for the first byte of the next request; a
-      timeout here is the ordinary keep-alive idle close (no shed).
-    * **head** — the first byte has arrived; the rest of the request
-      line and headers must land within ``header_timeout`` *total*.
-      Expiry sheds the connection (counted via *on_slow_shed*) by
-      raising :class:`_HeaderDeadlineError`.
-    * **body** — headers are parsed; reads revert to the plain
-      per-``recv`` idle timeout the transport always used.
-
-    Implements the ``readline(limit)``/``read(n)`` subset
-    ``BaseHTTPRequestHandler`` and ``http.client.parse_headers`` use.
-    """
-
-    def __init__(self, sock, idle_timeout: float, header_timeout: float,
-                 on_slow_shed) -> None:
-        self._sock = sock
-        self._idle_timeout = idle_timeout
-        self._header_timeout = header_timeout
-        self._on_slow_shed = on_slow_shed
-        self._buffer = bytearray()
-        self._phase = "body"
-        self._deadline = 0.0
-
-    def begin_request(self) -> None:
-        """Arm the idle phase for the next request on this connection."""
-        self._phase = "idle"
-
-    def end_head(self) -> None:
-        """Headers are parsed: drop back to plain idle-timeout reads.
-
-        Also restores the socket timeout, so the response write that
-        follows is not bounded by whatever sliver of the header deadline
-        the last ``recv`` left behind (``settimeout`` is bidirectional).
+        The dispatch both transports share.  GET and HEAD go to
+        :meth:`get`, POST bodies are parsed as urlencoded forms for
+        :meth:`post`, and a protocol error renders like an app error:
+        JSON on API paths, a page elsewhere.  An unexpected exception
+        still gets a well-formed 500, which closes the connection
+        because the failure point is unknown.
         """
-        self._phase = "body"
-        self._sock.settimeout(self._idle_timeout)
-
-    def _recv(self) -> bytes:
-        if self._phase == "head":
-            remaining = self._deadline - time.monotonic()
-            if remaining <= 0:
-                self._on_slow_shed()
-                raise _HeaderDeadlineError("request head incomplete after "
-                                           f"{self._header_timeout:g}s")
-            self._sock.settimeout(remaining)
-            try:
-                return self._sock.recv(65536)
-            except TimeoutError:
-                self._on_slow_shed()
-                raise _HeaderDeadlineError(
-                    "request head incomplete after "
-                    f"{self._header_timeout:g}s") from None
-        self._sock.settimeout(self._idle_timeout)
-        chunk = self._sock.recv(65536)
-        if chunk and self._phase == "idle":
-            self._phase = "head"
-            self._deadline = time.monotonic() + self._header_timeout
-        return chunk
-
-    def readline(self, limit: int = -1) -> bytes:
-        while True:
-            index = self._buffer.find(b"\n")
-            if index >= 0:
-                end = index + 1
-                if 0 <= limit < end:
-                    end = limit
-                line = bytes(self._buffer[:end])
-                del self._buffer[:end]
-                return line
-            if 0 <= limit <= len(self._buffer):
-                line = bytes(self._buffer[:limit])
-                del self._buffer[:limit]
-                return line
-            chunk = self._recv()
-            if not chunk:
-                line = bytes(self._buffer)
-                self._buffer.clear()
-                return line
-            self._buffer += chunk
-
-    def read(self, size: int = -1) -> bytes:
-        if size < 0:
-            while True:
-                chunk = self._recv()
-                if not chunk:
-                    break
-                self._buffer += chunk
-            data = bytes(self._buffer)
-            self._buffer.clear()
-            return data
-        while len(self._buffer) < size:
-            chunk = self._recv()
-            if not chunk:
-                break
-            self._buffer += chunk
-        data = bytes(self._buffer[:size])
-        del self._buffer[:size]
-        return data
-
-    def close(self) -> None:
-        """The handler's ``finish()`` closes rfile; the socket itself is
-        owned (and closed) by the server."""
-
-
-def _make_handler(app: QuestApp, draining: threading.Event,
-                  max_requests: int, idle_timeout: float,
-                  header_timeout: float) -> type[BaseHTTPRequestHandler]:
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        #: Without TCP_NODELAY a persistent connection stalls ~40ms per
-        #: response: headers and body go out as two small segments and
-        #: Nagle holds the second until the delayed ACK arrives.  The
-        #: connection-per-request mode never showed this because closing
-        #: the socket flushed on FIN.
-        disable_nagle_algorithm = True
-        #: Socket timeout while waiting for the next request on a
-        #: keep-alive connection; hitting it closes the connection.
-        timeout = idle_timeout
-
-        def setup(self) -> None:
-            super().setup()
-            self._requests_served = 0
-            # Swap the buffered makefile reader for the deadline-aware
-            # one (nothing has been read yet, so no buffered bytes are
-            # lost); the makefile object is closed to drop its socket
-            # reference — the connection itself stays open.
-            self.rfile.close()
-            self.rfile = _DeadlineReader(
-                self.connection, idle_timeout, header_timeout,
-                lambda: app.gateway.stats.count("slow_client_sheds"))
-
-        def handle_one_request(self) -> None:
-            self.rfile.begin_request()
-            super().handle_one_request()
-
-        def parse_request(self) -> bool:
-            # The request line and headers have been consumed by the
-            # time the stdlib's parse returns (whether it succeeded or
-            # answered 400/414 itself): lift the header deadline before
-            # the route handler runs.
-            try:
-                return super().parse_request()
-            finally:
-                self.rfile.end_head()
-
-        def _draining(self) -> bool:
-            return draining.is_set() or app.gateway.stopping
-
-        def _send(self, status: int, body: str | bytes,
-                  content_type: str = "text/html; charset=utf-8",
-                  head_only: bool = False) -> None:
-            payload = body if isinstance(body, bytes) else \
-                body.encode("utf-8")
-            self._requests_served += 1
-            if self._requests_served >= max_requests or self._draining():
-                self.close_connection = True
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            if status in (503, 504):
-                self.send_header("Retry-After", "1")
-            if status == 405:
-                self.send_header("Allow", "GET")
-            # Advertise the connection's fate explicitly; keep-alive is
-            # only promised when the request's protocol allows it
-            # (close_connection is already True for plain HTTP/1.0).
-            if self.close_connection:
-                self.send_header("Connection", "close")
+        if isinstance(event, http11.ProtocolError):
+            if _is_json_path(event.target):
+                body = _json_error(event.title, ValueError(event.message))
             else:
-                self.send_header("Connection", "keep-alive")
-            self.end_headers()
-            if not head_only:
-                self.wfile.write(payload)
-
-        def _content_type(self, body: str | bytes = "") -> str:
-            if isinstance(body, bytes):
-                # Only /api/replicate answers bytes: a pickled payload.
-                return "application/octet-stream"
-            if _is_json_path(self.path):
-                return "application/json"
-            return "text/html; charset=utf-8"
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                status, body = app.get(self.path)
-            except Exception as exc:
-                # An unexpected error must still produce a well-formed,
-                # Content-Length'd response; the connection is closed
-                # because the failure point is unknown.
-                self.close_connection = True
-                self._send(500, views.render_message("Internal error",
-                                                     str(exc)))
-                return
-            self._send(status, body, self._content_type(body))
-
-        def do_HEAD(self) -> None:  # noqa: N802 (http.server API)
-            # Same status and headers the GET would produce — exact
-            # Content-Length included — with no body bytes, so a load
-            # balancer can health-check /api/stats without paying for
-            # (or desynchronizing on) the payload.
-            try:
-                status, body = app.get(self.path)
-            except Exception as exc:
-                self.close_connection = True
-                self._send(500, views.render_message("Internal error",
-                                                     str(exc)),
-                           head_only=True)
-                return
-            self._send(status, body, self._content_type(body),
-                       head_only=True)
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            form, problem = self._read_form()
-            as_json = _is_json_path(self.path)
-            if problem is not None:
-                status, title, message = problem
-                body = (_json_error(title, ValueError(message)) if as_json
-                        else views.render_message(title, message))
-                self._send(status, body, self._content_type())
-                return
-            try:
-                status, body = app.post(
-                    urllib.parse.urlsplit(self.path).path, form)
-            except Exception as exc:
-                self.close_connection = True
-                self._send(500, views.render_message("Internal error",
-                                                     str(exc)))
-                return
-            self._send(status, body, self._content_type())
-
-        def _read_form(self):
-            """Read and parse the urlencoded request body.
-
-            Returns ``(form, None)`` on success, else ``(None, (status,
-            title, message))``.  Under keep-alive the declared body is
-            always consumed before answering, so a bad request cannot
-            desynchronize the connection; when the declared length is
-            missing, malformed or unusable the connection is marked for
-            close instead — the framing is unknowable, and serving
-            another request off this socket would read garbage.
-            """
-            raw_length = self.headers.get("Content-Length")
-            try:
-                length = int(raw_length) if raw_length is not None else None
-            except ValueError:
-                length = None
-            if length is None or length < 0:
-                self.close_connection = True
-                return None, (400, "Bad request",
-                              "missing or malformed Content-Length")
-            if length > MAX_BODY_BYTES:
-                self.close_connection = True
-                return None, (413, "Payload too large",
-                              f"declared body of {length} bytes exceeds "
-                              f"the {MAX_BODY_BYTES}-byte limit")
-            raw = self.rfile.read(length)
-            if len(raw) < length:
-                self.close_connection = True
-                return None, (400, "Bad request",
-                              "request body shorter than its "
-                              "Content-Length")
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                # The body was fully consumed, so the connection stays
-                # in sync and can serve the next request.
-                return None, (400, "Bad request",
-                              "request body is not valid UTF-8")
-            form = {key: values[0] for key, values
-                    in urllib.parse.parse_qs(text).items()}
-            return form, None
-
-        def log_message(self, format: str, *args) -> None:
-            pass  # keep test output clean
-
-    return Handler
+                body = views.render_message(event.title, event.message)
+            return http11.Response(event.status, body,
+                                   _content_type(event.target, body))
+        try:
+            if event.method == "POST":
+                form = {key: values[0] for key, values
+                        in urllib.parse.parse_qs(event.body).items()}
+                status, body = self.post(
+                    urllib.parse.urlsplit(event.target).path, form)
+            else:
+                status, body = self.get(event.target)
+        except Exception as exc:
+            return http11.Response(
+                500, views.render_message("Internal error", str(exc)),
+                "text/html; charset=utf-8", close=True)
+        return http11.Response(status, body,
+                               _content_type(event.target, body))
 
 
-class _QuestHTTPServer(ThreadingHTTPServer):
+class _ThreadingServer(socketserver.ThreadingTCPServer):
+    """Accepts connections and runs each on its own daemon thread."""
+
     #: The stdlib default listen backlog of 5 drops SYNs when a pooled
     #: client opens its connections in one burst; the dropped SYN is
     #: retransmitted a full second later, which reads as a mysterious
     #: ~1000ms tail latency on an otherwise idle server.
     request_queue_size = 128
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, address: tuple[str, int], serve_connection) -> None:
+        self._serve_connection = serve_connection
+        super().__init__(address, None)
+
+    def finish_request(self, request, client_address) -> None:
+        self._serve_connection(request)
 
 
 class QuestServer:
-    """Threaded HTTP/1.1 server wrapper with keep-alive connections and
-    clean startup/drained shutdown."""
+    """Threaded HTTP/1.1 server: keep-alive connections through the
+    sans-IO core, clean startup and drained shutdown."""
 
     def __init__(self, app: QuestApp, host: str = "127.0.0.1",
                  port: int = 0, *,
                  max_requests_per_connection: int =
-                 MAX_REQUESTS_PER_CONNECTION,
-                 idle_timeout: float = KEEPALIVE_IDLE_TIMEOUT,
-                 header_timeout: float = HEADER_TIMEOUT) -> None:
+                 http11.MAX_REQUESTS_PER_CONNECTION,
+                 idle_timeout: float = http11.KEEPALIVE_IDLE_TIMEOUT,
+                 header_timeout: float = http11.HEADER_TIMEOUT) -> None:
         self.app = app
+        self._max_requests = max_requests_per_connection
+        self._idle_timeout = idle_timeout
+        self._header_timeout = header_timeout
         #: Set at the start of ``stop()``: every response sent from then
         #: on carries ``Connection: close``, so persistent connections
         #: fall away instead of pinning the drain on their idle timeout.
         self._draining = threading.Event()
-        handler = _make_handler(app, self._draining,
-                                max_requests_per_connection, idle_timeout,
-                                header_timeout)
-        self._server = _QuestHTTPServer((host, port), handler)
+        self._server = _ThreadingServer((host, port), self._serve_connection)
         self._thread: threading.Thread | None = None
 
     @property
@@ -708,8 +445,42 @@ class QuestServer:
         """The bound (host, port)."""
         return self._server.server_address[:2]
 
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """One keep-alive connection: feed what ``recv`` reads into the
+        HTTP/1.1 core and ``sendall`` what it answers."""
+        # Without TCP_NODELAY a persistent connection stalls ~40ms per
+        # response: Nagle holds a small write until the delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        stats = self.app.gateway.stats
+        conn = http11.Connection(
+            self._max_requests, self._idle_timeout, self._header_timeout,
+            lambda: stats.count("slow_client_sheds"))
+        try:
+            while True:
+                event = conn.next_event()
+                if event is http11.NEED_DATA:
+                    sock.settimeout(conn.read_timeout())
+                    try:
+                        conn.receive_data(sock.recv(http11.READ_SIZE))
+                    except TimeoutError:
+                        conn.timed_out()
+                    continue
+                if event is http11.CLOSED:
+                    return
+                if event is http11.CONTINUE:
+                    data = event
+                else:
+                    data = conn.send(self.app.respond(event),
+                                     self._draining.is_set()
+                                     or self.app.gateway.stopping)
+                sock.settimeout(self._idle_timeout)
+                sock.sendall(data)
+        except OSError:
+            return  # the peer reset or went away: nothing left to answer
+
     def start(self) -> None:
-        """Serve in a background thread (and warm the gateway's pool)."""
+        """Serve in a background thread (and start the gateway's batcher
+        threads)."""
         self.app.gateway.start()
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         daemon=True)

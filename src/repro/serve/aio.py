@@ -2,12 +2,16 @@
 
 :class:`AsyncQuestServer` is a drop-in alternative to the threaded
 :class:`~repro.quest.webapp.QuestServer`: same constructor knobs, same
-``start()`` / ``stop(grace)`` / ``address`` surface, same wire contract.
-The difference is the cost model.  The threaded transport spends a
-thread per connection, so a few hundred idle keep-alive sockets exhaust
-it; here every connection is a coroutine parked on a single event loop,
-and ten thousand idle sockets cost ten thousand small task objects and
-nothing else.
+``start()`` / ``stop(grace)`` / ``address`` surface.  Both are I/O
+loops over one sans-IO HTTP/1.1 core, :mod:`repro.serve.http11`, and
+answer through the same :meth:`~repro.quest.webapp.QuestApp.respond`,
+so their wire contract is one implementation, not two copies kept in
+step; ``tests/quest/test_keepalive.py`` runs its wire assertions against
+both.  The difference is the cost model.  The threaded transport spends
+a thread per connection, so a few hundred idle keep-alive sockets
+exhaust it; here every connection is a coroutine parked on a single
+event loop, and ten thousand idle sockets cost ten thousand small task
+objects and nothing else.
 
 The division of labour:
 
@@ -15,398 +19,39 @@ The division of labour:
   immutable :class:`~repro.serve.registry.ModelSnapshot` through
   ``gateway.read_locked()`` / relstore ``read_view()`` — microseconds of
   pure-Python work, no blocking, no thread hop.
-* **Classification and writes go to the gateway pool.**  Suggest GETs
-  (``/bundle/…``, ``/api/suggest/…``) and every POST block on the
-  :class:`~repro.serve.ServeGateway` worker pool, so they are handed off
-  via ``loop.run_in_executor``; admission control, deadlines,
-  micro-batching and the degraded chain are untouched.
-
-The HTTP/1.1 parser reproduces the threaded transport's body discipline
-byte-for-byte: exact ``Content-Length`` on every response, 400/413 (with
-``Connection: close``) on malformed or oversized bodies, a bounded
-request count per connection, an idle timeout between requests, a header
-deadline against slowloris dribble, and drain-aware ``Connection:
-close`` once ``stop()`` begins.  The shared route logic lives in
-:class:`~repro.quest.webapp.QuestApp`, so the two transports cannot
-drift on status codes or bodies — and ``tests/quest/test_keepalive.py``
-runs its wire assertions against both to prove it.
+* **Classification and writes go to an executor.**  Suggest GETs
+  (``/bundle/…``, ``/api/suggest/…``) wait on the gateway's batcher
+  threads and every POST may wait on the store's write lock, so they are
+  handed off via ``loop.run_in_executor``.  The executor has a thread for
+  every request the gateway can hold, plus one, so a request past the
+  gateway's bound reaches its admission control (and its 503) at once
+  instead of waiting in the executor's own queue.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import email.utils
-import http
 import socket
 import threading
-import time
 import urllib.parse
 
-from ..quest import views
-from ..quest.webapp import (HEADER_TIMEOUT, KEEPALIVE_IDLE_TIMEOUT,
-                            MAX_BODY_BYTES, MAX_REQUESTS_PER_CONNECTION,
-                            QuestApp, _is_json_path, _json_error)
+from ..quest.webapp import QuestApp
+from . import http11
 
 if False:  # pragma: no cover - type-only import, avoids gateway cycle
     from .gateway import DrainReport
 
-#: Upper bound on the request line and on any single header line.
-MAX_LINE_BYTES = 65536
 
-#: Upper bound on the number of header lines in one request head.
-MAX_HEADERS = 100
-
-#: ``Server:`` header value; distinct from the threaded stdlib banner so
-#: a capture can tell the transports apart.
-SERVER_STRING = "AsyncQuest/1.0"
-
-
-class _HeaderDeadlineError(TimeoutError):
-    """The request head dribbled past the header deadline (slowloris)."""
-
-
-class _AsyncWire:
-    """Buffered reads over a :class:`~asyncio.StreamReader` with the same
-    three-phase deadline discipline the threaded transport enforces:
-
-    * **idle** — waiting for the first byte of the next request; a
-      timeout here is the ordinary keep-alive idle close (no shed).
-    * **head** — the first byte has arrived; the rest of the request
-      line and headers must land within ``header_timeout`` *total*, or
-      the connection is shed (counted via *on_slow_shed*).
-    * **body** — headers parsed; reads revert to the per-chunk idle
-      timeout.
-
-    Buffering is explicit (rather than using ``reader.readline``) so
-    bytes a client pipelines past one request's head are preserved for
-    its body and for the next request.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader, idle_timeout: float,
-                 header_timeout: float, on_slow_shed) -> None:
-        self._reader = reader
-        self._idle_timeout = idle_timeout
-        self._header_timeout = header_timeout
-        self._on_slow_shed = on_slow_shed
-        self._buffer = bytearray()
-        self._phase = "body"
-        self._deadline = 0.0
-
-    def begin_request(self) -> None:
-        """Arm the idle phase (or the head deadline, when pipelined bytes
-        are already buffered — the 'first byte' of this request has by
-        definition arrived)."""
-        if self._buffer:
-            self._phase = "head"
-            self._deadline = time.monotonic() + self._header_timeout
-        else:
-            self._phase = "idle"
-
-    def end_head(self) -> None:
-        """Headers are parsed: drop back to plain idle-timeout reads."""
-        self._phase = "body"
-
-    async def _recv(self) -> bytes:
-        if self._phase == "head":
-            remaining = self._deadline - time.monotonic()
-            if remaining <= 0:
-                self._on_slow_shed()
-                raise _HeaderDeadlineError(
-                    "request head incomplete after "
-                    f"{self._header_timeout:g}s")
-            try:
-                return await asyncio.wait_for(
-                    self._reader.read(MAX_LINE_BYTES), remaining)
-            except TimeoutError:
-                self._on_slow_shed()
-                raise _HeaderDeadlineError(
-                    "request head incomplete after "
-                    f"{self._header_timeout:g}s") from None
-        chunk = await asyncio.wait_for(
-            self._reader.read(MAX_LINE_BYTES), self._idle_timeout)
-        if chunk and self._phase == "idle":
-            self._phase = "head"
-            self._deadline = time.monotonic() + self._header_timeout
-        return chunk
-
-    async def readline(self, limit: int = -1) -> bytes:
-        while True:
-            index = self._buffer.find(b"\n")
-            if index >= 0:
-                end = index + 1
-                if 0 <= limit < end:
-                    end = limit
-                line = bytes(self._buffer[:end])
-                del self._buffer[:end]
-                return line
-            if 0 <= limit <= len(self._buffer):
-                line = bytes(self._buffer[:limit])
-                del self._buffer[:limit]
-                return line
-            chunk = await self._recv()
-            if not chunk:
-                line = bytes(self._buffer)
-                self._buffer.clear()
-                return line
-            self._buffer += chunk
-
-    async def read(self, size: int) -> bytes:
-        while len(self._buffer) < size:
-            chunk = await self._recv()
-            if not chunk:
-                break
-            self._buffer += chunk
-        data = bytes(self._buffer[:size])
-        del self._buffer[:size]
-        return data
-
-
-class _Connection:
-    """One keep-alive connection: a parse/dispatch/respond loop that
-    mirrors the threaded handler's behaviour decision-for-decision."""
-
-    def __init__(self, server: "AsyncQuestServer",
-                 reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.server = server
-        self.app = server.app
-        self.writer = writer
-        self.wire = _AsyncWire(
-            reader, server.idle_timeout, server.header_timeout,
-            lambda: server.app.gateway.stats.count("slow_client_sheds"))
-        self.requests_served = 0
-        self.close_connection = False
-        #: Path of the request being served (content-type decisions).
-        self.path = ""
-
-    # ------------------------------------------------------------------ #
-    # response emission (mirrors Handler._send)
-
-    def _draining(self) -> bool:
-        return (self.server._draining.is_set()
-                or self.app.gateway.stopping)
-
-    def _content_type(self, body: str | bytes = "") -> str:
-        if isinstance(body, bytes):
-            # Only /api/replicate answers bytes: a pickled payload.
-            return "application/octet-stream"
-        if _is_json_path(self.path):
-            return "application/json"
-        return "text/html; charset=utf-8"
-
-    async def send(self, status: int, body: str | bytes,
-                   content_type: str = "text/html; charset=utf-8",
-                   head_only: bool = False) -> None:
-        payload = body if isinstance(body, bytes) else body.encode("utf-8")
-        self.requests_served += 1
-        if (self.requests_served >= self.server.max_requests_per_connection
-                or self._draining()):
-            self.close_connection = True
-        phrase = http.HTTPStatus(status).phrase
-        head = [f"HTTP/1.1 {status} {phrase}\r\n",
-                f"Server: {SERVER_STRING}\r\n",
-                f"Date: {email.utils.formatdate(usegmt=True)}\r\n",
-                f"Content-Type: {content_type}\r\n",
-                f"Content-Length: {len(payload)}\r\n"]
-        if status in (503, 504):
-            head.append("Retry-After: 1\r\n")
-        if status == 405:
-            head.append("Allow: GET\r\n")
-        # Advertise the connection's fate explicitly, exactly like the
-        # threaded transport (keep-alive is only promised when the
-        # request's protocol allows it).
-        if self.close_connection:
-            head.append("Connection: close\r\n")
-        else:
-            head.append("Connection: keep-alive\r\n")
-        head.append("\r\n")
-        data = "".join(head).encode("latin-1")
-        if not head_only:
-            data += payload
-        self.writer.write(data)
-        await self.writer.drain()
-
-    # ------------------------------------------------------------------ #
-    # request parsing
-
-    async def _read_head(self):
-        """Read and parse one request head.
-
-        Returns ``(method, path, headers)`` on success, ``None`` when the
-        connection is done (clean EOF, or a parse error already answered
-        with ``Connection: close``).  *headers* is a lowercase-keyed
-        dict; duplicate headers keep the last value (only Connection and
-        Content-Length are consulted, neither is legitimately repeated).
-        """
-        self.wire.begin_request()
-        raw_line = await self.wire.readline(MAX_LINE_BYTES + 1)
-        if not raw_line:
-            return None
-        if len(raw_line) > MAX_LINE_BYTES:
-            await self._refuse(414, "URI too long",
-                               "request line exceeds "
-                               f"{MAX_LINE_BYTES} bytes")
-            return None
-        requestline = raw_line.rstrip(b"\r\n").decode("iso-8859-1")
-        words = requestline.split()
-        if len(words) != 3:
-            await self._refuse(400, "Bad request",
-                               f"malformed request line {requestline!r}")
-            return None
-        method, path, version = words
-        if version == "HTTP/1.1":
-            self.close_connection = False
-        elif version == "HTTP/1.0":
-            # Pre-keep-alive protocol: close unless the client opts in.
-            self.close_connection = True
-        else:
-            await self._refuse(400, "Bad request",
-                               f"unsupported protocol {version!r}")
-            return None
-        headers: dict[str, str] = {}
-        while True:
-            line = await self.wire.readline(MAX_LINE_BYTES + 1)
-            if len(line) > MAX_LINE_BYTES:
-                await self._refuse(400, "Bad request",
-                                   "header line exceeds "
-                                   f"{MAX_LINE_BYTES} bytes")
-                return None
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                # EOF mid-head: nothing sane to answer.
-                self.close_connection = True
-                return None
-            if len(headers) >= MAX_HEADERS:
-                await self._refuse(400, "Bad request",
-                                   f"more than {MAX_HEADERS} headers")
-                return None
-            name, sep, value = line.decode("iso-8859-1").partition(":")
-            if not sep:
-                await self._refuse(400, "Bad request",
-                                   f"malformed header line {line!r}")
-                return None
-            headers[name.strip().lower()] = value.strip()
-        self.wire.end_head()
-        connection = headers.get("connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive" and version == "HTTP/1.0":
-            self.close_connection = False
-        return method, path, headers
-
-    async def _refuse(self, status: int, title: str, message: str) -> None:
-        """Answer a protocol-level parse failure and close."""
-        self.close_connection = True
-        await self.send(status, views.render_message(title, message))
-
-    # ------------------------------------------------------------------ #
-    # dispatch
-
-    async def serve_one(self) -> bool:
-        """Serve one request; returns False when the connection is done."""
-        head = await self._read_head()
-        if head is None:
-            return False
-        method, self.path, headers = head
-        if method == "GET":
-            await self._do_get(head_only=False)
-        elif method == "HEAD":
-            await self._do_get(head_only=True)
-        elif method == "POST":
-            await self._do_post(headers)
-        else:
-            # The body framing of an unknown method is unknowable, so
-            # the connection cannot be trusted for another request.
-            self.close_connection = True
-            await self.send(
-                501, views.render_message(
-                    "Unsupported method",
-                    f"method {method!r} is not supported"),
-                self._content_type())
-        return not self.close_connection
-
-    def _blocks_on_workers(self, path: str) -> bool:
-        """GET routes that wait on the gateway's classification pool (and
-        so must not run inline on the event loop)."""
-        bare = urllib.parse.urlsplit(path).path
-        return (bare.startswith("/bundle/")
-                or bare.startswith("/api/suggest/"))
-
-    async def _do_get(self, head_only: bool) -> None:
-        try:
-            if self._blocks_on_workers(self.path):
-                loop = asyncio.get_running_loop()
-                status, body = await loop.run_in_executor(
-                    self.server._executor, self.app.get, self.path)
-            else:
-                # Snapshot reads: read_view()-backed, non-blocking,
-                # microseconds — served straight off the loop.
-                status, body = self.app.get(self.path)
-        except Exception as exc:
-            self.close_connection = True
-            await self.send(500, views.render_message("Internal error",
-                                                      str(exc)),
-                            head_only=head_only)
-            return
-        await self.send(status, body, self._content_type(body),
-                        head_only=head_only)
-
-    async def _do_post(self, headers: dict[str, str]) -> None:
-        form, problem = await self._read_form(headers)
-        as_json = _is_json_path(self.path)
-        if problem is not None:
-            status, title, message = problem
-            body = (_json_error(title, ValueError(message)) if as_json
-                    else views.render_message(title, message))
-            await self.send(status, body, self._content_type())
-            return
-        try:
-            loop = asyncio.get_running_loop()
-            status, body = await loop.run_in_executor(
-                self.server._executor, self.app.post,
-                urllib.parse.urlsplit(self.path).path, form)
-        except Exception as exc:
-            self.close_connection = True
-            await self.send(500, views.render_message("Internal error",
-                                                      str(exc)))
-            return
-        await self.send(status, body, self._content_type())
-
-    async def _read_form(self, headers: dict[str, str]):
-        """The threaded handler's ``_read_form`` body discipline, on the
-        event loop: the declared body is always consumed before
-        answering, and an unusable declared length closes the
-        connection."""
-        raw_length = headers.get("content-length")
-        try:
-            length = int(raw_length) if raw_length is not None else None
-        except ValueError:
-            length = None
-        if length is None or length < 0:
-            self.close_connection = True
-            return None, (400, "Bad request",
-                          "missing or malformed Content-Length")
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return None, (413, "Payload too large",
-                          f"declared body of {length} bytes exceeds "
-                          f"the {MAX_BODY_BYTES}-byte limit")
-        raw = await self.wire.read(length)
-        if len(raw) < length:
-            self.close_connection = True
-            return None, (400, "Bad request",
-                          "request body shorter than its Content-Length")
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            # Fully consumed: the connection stays in sync.
-            return None, (400, "Bad request",
-                          "request body is not valid UTF-8")
-        form = {key: values[0] for key, values
-                in urllib.parse.parse_qs(text).items()}
-        return form, None
+def _waits_on_gateway(event) -> bool:
+    """Requests that block on the gateway (and so must not run inline
+    on the event loop): suggest GETs and every POST."""
+    if not isinstance(event, http11.Request):
+        return False
+    if event.method == "POST":
+        return True
+    path = urllib.parse.urlsplit(event.target).path
+    return path.startswith("/bundle/") or path.startswith("/api/suggest/")
 
 
 class AsyncQuestServer:
@@ -422,9 +67,9 @@ class AsyncQuestServer:
     def __init__(self, app: QuestApp, host: str = "127.0.0.1",
                  port: int = 0, *,
                  max_requests_per_connection: int =
-                 MAX_REQUESTS_PER_CONNECTION,
-                 idle_timeout: float = KEEPALIVE_IDLE_TIMEOUT,
-                 header_timeout: float = HEADER_TIMEOUT) -> None:
+                 http11.MAX_REQUESTS_PER_CONNECTION,
+                 idle_timeout: float = http11.KEEPALIVE_IDLE_TIMEOUT,
+                 header_timeout: float = http11.HEADER_TIMEOUT) -> None:
         self.app = app
         self.max_requests_per_connection = max_requests_per_connection
         self.idle_timeout = idle_timeout
@@ -442,11 +87,15 @@ class AsyncQuestServer:
         self._server: asyncio.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         #: Threads that park on blocking gateway calls (suggest joins
-        #: the micro-batcher, writes take the write lock).  Sized past
-        #: the gateway's queue bound so the executor never becomes a
-        #: second, silent admission queue in front of the real one.
+        #: the micro-batcher, writes take the write lock).  One more than
+        #: the gateway can hold (its queue plus a full batch per batcher
+        #: thread), so the executor never becomes a second, unbounded
+        #: admission queue in front of the real one.
+        config = app.gateway.config
         self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=32, thread_name_prefix="aio-gateway")
+            max_workers=(config.max_queue
+                         + config.workers * config.max_batch_size + 1),
+            thread_name_prefix="aio-gateway")
 
     @property
     def address(self) -> tuple[str, int]:
@@ -457,8 +106,8 @@ class AsyncQuestServer:
     # lifecycle
 
     def start(self) -> None:
-        """Bind, then serve on a background event-loop thread (and warm
-        the gateway's pool), mirroring ``QuestServer.start()``."""
+        """Bind, then serve on a background event-loop thread (and start
+        the gateway's batcher threads), mirroring ``QuestServer.start()``."""
         self.app.gateway.start()
         self._loop = asyncio.new_event_loop()
         started = threading.Event()
@@ -490,16 +139,34 @@ class AsyncQuestServer:
             # Same rationale as the threaded transport: without NODELAY
             # a keep-alive response stalls ~40ms on Nagle + delayed ACK.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        connection = _Connection(self, reader, writer)
+        stats = self.app.gateway.stats
+        conn = http11.Connection(
+            self.max_requests_per_connection, self.idle_timeout,
+            self.header_timeout, lambda: stats.count("slow_client_sheds"))
         try:
-            while await connection.serve_one():
-                pass
-        except (TimeoutError, asyncio.CancelledError):
-            # Idle timeout, header deadline, or shutdown cancel: close
-            # silently, exactly like the threaded handler's timeout path.
-            pass
-        except (ConnectionError, OSError):
-            pass
+            while True:
+                event = conn.next_event()
+                if event is http11.NEED_DATA:
+                    try:
+                        conn.receive_data(await asyncio.wait_for(
+                            reader.read(http11.READ_SIZE),
+                            conn.read_timeout()))
+                    except TimeoutError:
+                        conn.timed_out()
+                    continue
+                if event is http11.CLOSED:
+                    return
+                if event is http11.CONTINUE:
+                    writer.write(event)
+                else:
+                    writer.write(conn.send(await self._respond(event),
+                                           self._draining.is_set()
+                                           or self.app.gateway.stopping))
+                await writer.drain()
+        except asyncio.CancelledError:
+            pass  # stop() cancels the connections that outlive the drain
+        except OSError:
+            pass  # the peer reset or went away: nothing left to answer
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
@@ -508,6 +175,14 @@ class AsyncQuestServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _respond(self, event) -> http11.Response:
+        if _waits_on_gateway(event):
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executor, self.app.respond, event)
+        # Snapshot reads and protocol errors: non-blocking, microseconds,
+        # served straight off the loop.
+        return self.app.respond(event)
 
     def stop(self, grace: float | None = None) -> "DrainReport":
         """Drain-aware shutdown mirroring ``QuestServer.stop()``:

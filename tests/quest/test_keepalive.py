@@ -8,10 +8,12 @@ read-only screens against parallel assigns under the gateway's read
 guard.
 
 Every wire test is parameterized over both transports — the threaded
-``QuestServer`` and the event-loop ``AsyncQuestServer`` — so the two
-implementations of the keep-alive contract can never drift.
+``QuestServer`` and the event-loop ``AsyncQuestServer`` — which drive
+one sans-IO HTTP/1.1 core (``repro.serve.http11``); the suite proves
+both transports hand every decision to it.
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -20,8 +22,8 @@ import urllib.parse
 
 import pytest
 
-from repro.quest import QuestApp, QuestServer, Role, User, UserStore
-from repro.serve import PooledHTTPClient
+from repro.quest import QuestApp, QuestServer, Role, User, UserStore, views
+from repro.serve import GatewayConfig, PooledHTTPClient
 from repro.serve.aio import AsyncQuestServer
 from repro.serve.errors import (DeadlineExceededError, GatewayStoppedError,
                                 QueueFullError)
@@ -29,11 +31,12 @@ from repro.serve.errors import (DeadlineExceededError, GatewayStoppedError,
 TRANSPORTS = {"thread": QuestServer, "async": AsyncQuestServer}
 
 
-def make_app(service_pair):
+def make_app(service_pair, gateway_config=None):
     quest, _ = service_pair
     users = UserStore()
     users.add(User("expert", Role.POWER_EXPERT, "Test Expert"))
-    return QuestApp(quest, users, users.get("expert"))
+    return QuestApp(quest, users, users.get("expert"),
+                    gateway_config=gateway_config)
 
 
 def make_server(transport, app, **kwargs):
@@ -457,6 +460,243 @@ class TestMalformedBodies:
             sock.close()
         finally:
             app.gateway.suggest = original
+
+
+# --------------------------------------------------------------------- #
+# protocol errors and request framing: one answer on both transports
+
+
+def _read_head_only(sock):
+    """Bytes up to and including the first blank line."""
+    buffer = b""
+    while b"\r\n\r\n" not in buffer:
+        chunk = sock.recv(1)
+        if not chunk:
+            raise AssertionError("connection closed before the head ended")
+        buffer += chunk
+    return buffer
+
+
+def _read_responses(sock, count):
+    """Parse *count* responses off one stream (pipelining: one segment
+    may hold several, which _read_response would take as a long body)."""
+    stream = sock.makefile("rb")
+    responses = []
+    for _ in range(count):
+        status = int(stream.readline().split()[1])
+        headers = {}
+        while (line := stream.readline()) not in (b"\r\n", b""):
+            key, _, value = line.decode("latin-1").partition(":")
+            headers[key.strip().lower()] = value.strip()
+        body = stream.read(int(headers["content-length"]))
+        responses.append((status, headers, body))
+    stream.close()
+    return responses
+
+
+class TestProtocolErrors:
+    def test_pipelined_requests_answered_in_order(self, running_server):
+        server, app, _ = running_server
+        sock, host, _ = _connect(server)
+        try:
+            sock.sendall((f"GET /users HTTP/1.1\r\nHost: {host}\r\n\r\n"
+                          f"GET /api/stats HTTP/1.1\r\nHost: {host}\r\n\r\n"
+                          ).encode("ascii"))
+            first, second = _read_responses(sock, 2)
+            status, headers, body = first
+            assert status == 200
+            assert headers["connection"] == "keep-alive"
+            assert body == app.get("/users")[1].encode("utf-8")
+            status, _, body = second
+            assert status == 200
+            json.loads(body)
+        finally:
+            sock.close()
+
+    def test_unknown_method_is_501_and_close(self, running_server):
+        """The app-rendered page (or JSON error on the API), not a
+        transport's own error page; the method's framing is unknown, so
+        the connection closes."""
+        server, _, _ = running_server
+        for request, content_type, expected in (
+                ("PUT /stats", "application/json",
+                 {"error": "Unsupported method", "exception": "ValueError",
+                  "message": "method 'PUT' is not supported"}),
+                ("BREW /users", "text/html; charset=utf-8",
+                 views.render_message("Unsupported method",
+                                      "method 'BREW' is not supported"))):
+            sock, host, _ = _connect(server)
+            try:
+                sock.sendall(f"{request} HTTP/1.1\r\nHost: {host}\r\n\r\n"
+                             .encode("ascii"))
+                status, headers, body = _read_response(sock)
+                assert status == 501
+                assert headers["connection"] == "close"
+                assert headers["content-type"] == content_type
+                if isinstance(expected, dict):
+                    assert json.loads(body) == expected
+                else:
+                    assert body == expected.encode("utf-8")
+                assert _connection_is_closed(sock)
+            finally:
+                sock.close()
+
+    def test_malformed_request_line_is_400_and_close(self, running_server):
+        server, _, _ = running_server
+        sock, _, _ = _connect(server)
+        try:
+            sock.sendall(b"NONSENSE\r\n\r\n")
+            status, headers, _ = _read_response(sock)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert _connection_is_closed(sock)
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("request_line,expected", [
+        ("GET /stats HTTP/2.0", 505),
+        ("GET /stats HTTP/0.9", 505),
+        ("GET /stats", 400),              # an HTTP/0.9 simple request
+        ("GET /stats HTTX/1.1", 400),
+    ])
+    def test_unsupported_version_gets_a_status_line(
+            self, running_server, request_line, expected):
+        server, _, _ = running_server
+        sock, _, _ = _connect(server)
+        try:
+            sock.sendall(request_line.encode("ascii") + b"\r\n\r\n")
+            # _read_response needs a status line and a Content-Length
+            status, headers, _ = _read_response(sock)
+            assert status == expected
+            assert headers["connection"] == "close"
+            assert _connection_is_closed(sock)
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("head,expected", [
+        (b"GET /" + b"a" * 65536, 414),
+        (b"GET /stats HTTP/1.1\r\nX-Long: " + b"a" * 65536, 431),
+        (b"GET /stats HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % number for number in range(101)), 431),
+    ], ids=["request-line", "header-line", "header-count"])
+    def test_head_limits(self, running_server, head, expected):
+        server, _, _ = running_server
+        sock, _, _ = _connect(server)
+        try:
+            sock.sendall(head)
+            status, headers, _ = _read_response(sock)
+            assert status == expected
+            assert headers["connection"] == "close"
+            assert _connection_is_closed(sock)
+        finally:
+            sock.close()
+
+    def test_expect_100_continue(self, running_server):
+        server, _, _ = running_server
+        sock, host, _ = _connect(server)
+        body = b"ref_no=R404&error_code=E1"
+        try:
+            sock.sendall((f"POST /api/assign HTTP/1.1\r\nHost: {host}\r\n"
+                          "Content-Type: application/x-www-form-urlencoded\r\n"
+                          f"Content-Length: {len(body)}\r\n"
+                          "Expect: 100-continue\r\n\r\n").encode("ascii"))
+            assert _read_head_only(sock) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            status, headers, payload = _read_response(sock)
+            assert status == 404
+            assert json.loads(payload)["exception"] == "UnknownBundleError"
+            assert headers["connection"] == "keep-alive"
+        finally:
+            sock.close()
+
+    def test_conflicting_content_lengths_are_400_and_close(
+            self, running_server):
+        server, _, _ = running_server
+        sock, host, _ = _connect(server)
+        try:
+            sock.sendall((f"POST /assign HTTP/1.1\r\nHost: {host}\r\n"
+                          "Content-Length: 6\r\nContent-Length: 13\r\n\r\n"
+                          "ref_no=R1&x=y").encode("ascii"))
+            status, headers, _ = _read_response(sock)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert _connection_is_closed(sock)
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("framing", [
+        "Transfer-Encoding: chunked",
+        "Transfer-Encoding: chunked\r\nContent-Length: 13",
+    ], ids=["chunked", "chunked-with-length"])
+    def test_transfer_encoding_is_501_and_close(self, running_server,
+                                                framing):
+        server, _, _ = running_server
+        sock, host, _ = _connect(server)
+        try:
+            sock.sendall((f"POST /assign HTTP/1.1\r\nHost: {host}\r\n"
+                          f"{framing}\r\n\r\n8\r\nref_no=x\r\n0\r\n\r\n")
+                         .encode("ascii"))
+            status, headers, _ = _read_response(sock)
+            assert status == 501
+            assert headers["connection"] == "close"
+            assert _connection_is_closed(sock)
+        finally:
+            sock.close()
+
+
+# --------------------------------------------------------------------- #
+# admission control is the gateway's, on both transports
+
+
+class TestAdmission:
+    def test_overload_is_shed_not_queued_in_the_transport(self, service,
+                                                          transport):
+        """72 concurrent suggests against a stalled batcher: whatever
+        the gateway cannot hold (a 40-deep queue plus one 16-request
+        batch) is shed with 503 at once, not parked in front of it."""
+        app = make_app(service, GatewayConfig(workers=1, max_queue=40))
+        held_out = service[1]
+        unblock = threading.Event()
+        classify = app.gateway._classify_one
+
+        def stalled(*args, **kwargs):
+            unblock.wait(timeout=30)
+            return classify(*args, **kwargs)
+
+        app.gateway._classify_one = stalled
+        server = make_server(transport, app)
+        server.start()
+        host, port = server.address
+        statuses = []
+
+        def client(slot):
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                conn.request("GET", "/api/suggest/"
+                             + held_out[slot % len(held_out)].ref_no)
+                statuses.append(conn.getresponse().status)
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=client, args=(slot,))
+                   for slot in range(72)]
+        shed_floor = 72 - 40 - 16
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while (app.gateway.stats_snapshot()["rejected"] < shed_floor
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+        finally:
+            unblock.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            server.stop(grace=5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses.count(503) >= shed_floor
+        assert statuses.count(503) == app.gateway.stats_snapshot()["rejected"]
+        assert statuses.count(200) + statuses.count(503) == 72
 
 
 # --------------------------------------------------------------------- #

@@ -1,12 +1,11 @@
 """Event-loop transport tests (`repro.serve.aio`).
 
 The shared wire contract — error table, body discipline, keep-alive
-semantics — is pinned against *both* transports by the parameterized
-suite in ``tests/quest/test_keepalive.py``.  This module covers what is
-specific to the asyncio implementation: connection scale (many idle
-keep-alive sockets on one loop), pipelined requests, the bytes route,
-unknown methods, and the lifecycle (double-stop, never-started stop,
-context manager).
+semantics, pipelining, protocol errors — is pinned against *both*
+transports by the parameterized suite in ``tests/quest/test_keepalive.py``.
+This module covers what is specific to the asyncio transport: connection
+scale (many idle keep-alive sockets on one loop), the bytes route, and
+the lifecycle (double-stop, never-started stop, context manager).
 """
 
 import json
@@ -99,31 +98,6 @@ class TestConnectionScale:
             for sock in idle:
                 sock.close()
 
-    def test_pipelined_requests_answered_in_order(self, running_server):
-        server, app, _ = running_server
-        sock, host = _connect(server)
-        try:
-            request = (f"GET /users HTTP/1.1\r\nHost: {host}\r\n\r\n"
-                       f"GET /api/stats HTTP/1.1\r\nHost: {host}\r\n\r\n"
-                       ).encode("ascii")
-            sock.sendall(request)
-            status, _, body, rest = _read_response(sock)
-            assert status == 200
-            assert body == app.get("/users")[1].encode("utf-8")
-            # the second response follows immediately on the same socket
-            while b"\r\n\r\n" not in rest:
-                rest += sock.recv(65536)
-            head, _, second_body = rest.partition(b"\r\n\r\n")
-            assert b" 200 " in head.split(b"\r\n")[0]
-            length = int([line for line in head.split(b"\r\n")
-                          if line.lower().startswith(b"content-length")
-                          ][0].split(b":")[1])
-            while len(second_body) < length:
-                second_body += sock.recv(65536)
-            json.loads(second_body[:length])
-        finally:
-            sock.close()
-
 
 class TestBytesAndMethods:
     def test_replicate_route_serves_pickled_bytes(self, running_server):
@@ -137,31 +111,6 @@ class TestBytesAndMethods:
             assert headers["content-type"] == "application/octet-stream"
             payload = pickle.loads(body)
             assert payload["kind"] == "full"
-        finally:
-            sock.close()
-
-    def test_unknown_method_is_501_and_close(self, running_server):
-        server, _, _ = running_server
-        sock, host = _connect(server)
-        try:
-            sock.sendall(f"BREW /stats HTTP/1.1\r\nHost: {host}\r\n\r\n"
-                         .encode("ascii"))
-            status, headers, _, _ = _read_response(sock)
-            assert status == 501
-            assert headers["connection"] == "close"
-            sock.settimeout(5.0)
-            assert sock.recv(1) == b""
-        finally:
-            sock.close()
-
-    def test_malformed_request_line_is_400_and_close(self, running_server):
-        server, _, _ = running_server
-        sock, host = _connect(server)
-        try:
-            sock.sendall(b"NONSENSE\r\n\r\n")
-            status, headers, _, _ = _read_response(sock)
-            assert status == 400
-            assert headers["connection"] == "close"
         finally:
             sock.close()
 
