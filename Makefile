@@ -29,10 +29,11 @@ test-serve:
 	$(PYTHON) -m pytest tests/serve -q
 
 # Byte-identical ranked lists: in-process vs gateway vs replica across
-# 5 seeds, and the ranked kNN classifier (cache, top-k selection, frozen
-# view) against the reference Fig. 5/7 transcription.
+# 5 seeds, the ranked kNN classifier (counting retrieval, top-k
+# selection, frozen view) against the reference Fig. 5/7 transcription,
+# and bag-of-concepts extraction against the offset-keeping matcher.
 test-parity:
-	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py -q
+	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py tests/taxonomy/test_concept_oracle.py -q
 
 # The HTTP transport on its own: webapp routes, the sans-IO HTTP/1.1
 # core, keep-alive wire behavior, and the pooled client.

@@ -109,7 +109,7 @@ class CandidateSetBaseline:
         # Storage layout: rarely-merged configurations sit first (they were
         # written once and never updated); heavily-merged ones last.  This
         # is what "unsorted" means here — physical order, no relevance.
-        ordered = sorted(enumerate(candidates),
+        ordered = sorted(enumerate(node for node, _ in candidates),
                          key=lambda item: (item[1].support, item[0]))
         codes = [ScoredCode(node.error_code, 0.0, node.support)
                  for _, node in ordered]  # duplicates kept: rank = node pos.

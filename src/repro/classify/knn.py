@@ -19,7 +19,6 @@ fall *below* the frequency baseline).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -68,31 +67,48 @@ class RankedKnnClassifier:
     # ------------------------------------------------------------------ #
     # scoring
 
+    def _top(self, part_id: str, features: frozenset[str]) -> list[tuple]:
+        """The best ``node_cutoff`` candidates as rank-ordered tuples.
+
+        Rank order is score descending, then error code, then support
+        descending, then the candidate's position in Fig. 5 retrieval
+        order.  Each candidate becomes a plain
+        ``(-score, code, -support, position, node)`` tuple; the position
+        is unique, so tuples compare without a key function and never
+        reach the node.  One C-level ``sorted`` of the pool beats a
+        bounded heap's Python loop at the pool sizes Fig. 5 yields (tens
+        to hundreds of nodes).  Scores come from the shared-feature
+        counts retrieval returns with each candidate: one
+        ``similarity(shared, |query|, |node|)`` call per candidate, no
+        set intersection.
+        """
+        similarity = self.similarity
+        size = len(features)
+        return sorted([
+            (-similarity(shared, size, len(node.features)), node.error_code,
+             -node.support, position, node)
+            for position, (node, shared) in enumerate(
+                self.knowledge_base.candidates(part_id, features))
+        ])[:self.node_cutoff]
+
     def score_candidates(self, part_id: str,
                          features: frozenset[str]) -> list[ScoredNode]:
         """Retrieve and score the top candidates for one bundle.
 
-        Returns at most ``node_cutoff`` candidates in rank order: score
-        descending, then error code, then support descending, then the
-        candidate's position in Fig. 5 retrieval order.  Each candidate
-        becomes a plain ``(-score, code, -support, position, node)``
-        tuple; the position is unique, so tuples compare without a key
-        function and never reach the node, and a bounded
-        ``heapq.nsmallest`` equals ``sorted(...)[:node_cutoff]`` exactly.
-        Only the survivors become :class:`ScoredNode` objects.
+        Returns at most ``node_cutoff`` :class:`ScoredNode` objects in
+        rank order (see :meth:`_top`).
         """
-        similarity = self.similarity
-        keyed = [(-similarity(features, node.features), node.error_code,
-                  -node.support, position, node)
-                 for position, node in enumerate(
-                     self.knowledge_base.candidates(part_id, features))]
         return [ScoredNode(node, -negated)
-                for negated, _, _, _, node in heapq.nsmallest(
-                    self.node_cutoff, keyed)]
+                for negated, _, _, _, node in self._top(part_id, features)]
 
     def rank_codes(self, part_id: str, features: frozenset[str],
                    ref_no: str = "") -> Recommendation:
         """The ranked error-code list for a feature set (Fig. 7).
+
+        A code scores its best node's similarity and sums its nodes'
+        support.  The top tuples arrive in rank order, so a code's first
+        node carries its best score, and codes first appear in the
+        ranked list's order (score descending, then code).
 
         Besides the ranked codes, the recommendation carries the
         confidence signals the triage layer scores: the candidate-pool
@@ -100,28 +116,24 @@ class RankedKnnClassifier:
         part ID was known (an unknown part fires the Fig. 5 global
         fallback, which dilutes the pool's meaning).
         """
-        scored_nodes = self.score_candidates(part_id, features)
-        top_nodes = scored_nodes[:self.node_cutoff]
-        best: dict[str, ScoredCode] = {}
-        for item in top_nodes:
-            code = item.node.error_code
-            existing = best.get(code)
-            if existing is None:
-                best[code] = ScoredCode(code, item.score, item.node.support)
+        top = self._top(part_id, features)
+        best: dict[str, list] = {}
+        for negated, code, negated_support, _, _ in top:
+            entry = best.get(code)
+            if entry is None:
+                best[code] = [-negated, -negated_support]
             else:
-                best[code] = ScoredCode(code, max(existing.score, item.score),
-                                        existing.support + item.node.support)
-        ranked = sorted(best.values(),
-                        key=lambda scored: (-scored.score, scored.error_code))
+                entry[1] -= negated_support
+        ranked = [ScoredCode(code, score, support)
+                  for code, (score, support) in best.items()]
         winner_nodes = 0
         if ranked:
             winner = ranked[0].error_code
-            winner_nodes = sum(1 for item in top_nodes
-                               if item.node.error_code == winner)
+            winner_nodes = sum(1 for item in top if item[1] == winner)
         has_part = getattr(self.knowledge_base, "has_part", None)
         part_known = bool(has_part(part_id)) if has_part is not None else True
         return Recommendation(ref_no=ref_no, part_id=part_id, codes=ranked,
-                              pool_size=len(top_nodes),
+                              pool_size=len(top),
                               winner_nodes=winner_nodes,
                               part_known=part_known)
 
@@ -152,10 +164,11 @@ class RankedKnnClassifier:
                          ) -> list[Recommendation]:
         """Classify a batch, extracting each distinct document only once.
 
-        Feature extraction (tokenize, stopwords, optional annotation) is
-        pure in the document text, so within a batch identical documents —
-        duplicate refs coalesced by the serving micro-batcher, re-submitted
-        bundles — share one extraction.  Result order matches *bundles*
+        Feature extraction (tokens for bag-of-words, taxonomy concept
+        ids for bag-of-concepts) is pure in the document text, so within
+        a batch identical documents — duplicate refs coalesced by the
+        serving micro-batcher, re-submitted bundles — share one
+        extraction.  Result order matches *bundles*
         and each recommendation equals :meth:`classify_bundle`'s exactly.
         """
         memo: dict[str, frozenset[str]] = {}
@@ -192,9 +205,10 @@ class MajorityVoteKnnClassifier:
         """Predict a single error code by majority vote, or None."""
         features = self.extractor.extract_text(test_document(bundle))
         candidates = self.knowledge_base.candidates(bundle.part_id, features)
+        size = len(features)
         scored = sorted(
-            ((self.similarity(features, node.features), node)
-             for node in candidates),
+            ((self.similarity(shared, size, len(node.features)), node)
+             for node, shared in candidates),
             key=lambda item: (-item[0], -item[1].support, item[1].error_code))
         nearest = scored[:self.k]
         if not nearest:

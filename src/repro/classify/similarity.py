@@ -5,8 +5,15 @@ Dice and cosine are included as registered extensions (the pipeline's
 classification step "can easily be used with different similarity or
 distance measures").
 
-All measures map two feature sets to [0, 1]; two empty sets are defined to
-have similarity 0 (such pairs never reach scoring anyway, because candidate
+Every set-overlap measure is a function of three numbers: the size of
+the intersection ``|A ∩ B|`` and the sizes ``|A|`` and ``|B|``.  So a
+measure here takes ``(shared, len_a, len_b)`` rather than the two sets:
+Fig. 5 retrieval counts each candidate's shared features while it
+unions the posting lists (:meth:`repro.knowledge.NodeCache.candidates`),
+and scoring never intersects a set.
+
+All measures map to [0, 1]; two empty sets are defined to have
+similarity 0 (such pairs never reach scoring anyway, because candidate
 selection requires at least one shared feature).
 """
 
@@ -15,38 +22,36 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-SimilarityFn = Callable[[frozenset, frozenset], float]
+#: ``(shared, len_a, len_b) -> similarity`` with ``shared = |A ∩ B|``.
+SimilarityFn = Callable[[int, int, int], float]
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
+def jaccard(shared: int, len_a: int, len_b: int) -> float:
     """|A ∩ B| / |A ∪ B| — the paper's primary measure."""
-    if not a and not b:
+    if not shared:
         return 0.0
-    intersection = len(a & b)
-    if intersection == 0:
-        return 0.0
-    return intersection / (len(a) + len(b) - intersection)
+    return shared / (len_a + len_b - shared)
 
 
-def overlap(a: frozenset, b: frozenset) -> float:
+def overlap(shared: int, len_a: int, len_b: int) -> float:
     """|A ∩ B| / min(|A|, |B|) — the paper's secondary measure."""
-    if not a or not b:
+    if not len_a or not len_b:
         return 0.0
-    return len(a & b) / min(len(a), len(b))
+    return shared / min(len_a, len_b)
 
 
-def dice(a: frozenset, b: frozenset) -> float:
+def dice(shared: int, len_a: int, len_b: int) -> float:
     """2·|A ∩ B| / (|A| + |B|) — extension measure."""
-    if not a and not b:
+    if not len_a and not len_b:
         return 0.0
-    return 2.0 * len(a & b) / (len(a) + len(b))
+    return 2.0 * shared / (len_a + len_b)
 
 
-def cosine(a: frozenset, b: frozenset) -> float:
+def cosine(shared: int, len_a: int, len_b: int) -> float:
     """|A ∩ B| / sqrt(|A|·|B|) — set cosine, extension measure."""
-    if not a or not b:
+    if not len_a or not len_b:
         return 0.0
-    return len(a & b) / math.sqrt(len(a) * len(b))
+    return shared / math.sqrt(len_a * len_b)
 
 
 #: Registry used by experiment configs ("jaccard", "overlap", ...).

@@ -18,6 +18,8 @@ truth for persistence and SQL-style queries.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Iterable, Iterator
 
 from ..data.bundle import DataBundle
@@ -34,6 +36,10 @@ NODE_SCHEMA = Schema.build(
     ],
 )
 
+#: One Fig. 5 candidate: a node and how many features it shares with
+#: the bundle under classification.
+Candidate = tuple[KnowledgeNode, int]
+
 
 class NodeCache:
     """Write-through materialized view of the knowledge-node table.
@@ -43,20 +49,22 @@ class NodeCache:
     every classification — by far the dominant cost of a ``classify``
     call.  The cache keeps one interned node object per row (feature
     frozensets shared through a pool) plus per-part and global feature
-    posting lists, so retrieval is pure dict/set work.  The owning
-    :class:`KnowledgeBase` mirrors every table mutation into the cache,
-    which keeps the cached answer bit-identical to the relstore-backed
-    path (see :meth:`KnowledgeBase.candidates_from_store`).
+    posting lists, so retrieval is pure dict work.  A posting list is a
+    dict of row ids used as a set: counting iterates its compact entries
+    faster than a set's sparse table, and unlinking a row stays O(1).
+    The owning :class:`KnowledgeBase` mirrors every table mutation into
+    the cache, which keeps the cached answer bit-identical to the
+    relstore-backed path (see :meth:`KnowledgeBase.candidates_from_store`).
     """
 
     def __init__(self) -> None:
         self._nodes: dict[int, KnowledgeNode] = {}
         self._part_rows: dict[str, set[int]] = {}
         # part_id -> feature -> row ids: candidate retrieval for a known
-        # part unions only that part's posting lists.
-        self._part_feature_rows: dict[str, dict[str, set[int]]] = {}
+        # part counts only that part's posting lists.
+        self._part_feature_rows: dict[str, dict[str, dict[int, None]]] = {}
         # global feature -> row ids, for the unknown-part fallback.
-        self._feature_rows: dict[str, set[int]] = {}
+        self._feature_rows: dict[str, dict[int, None]] = {}
         self._feature_pool: dict[frozenset[str], frozenset[str]] = {}
 
     def __len__(self) -> int:
@@ -84,8 +92,8 @@ class NodeCache:
         self._part_rows.setdefault(interned.part_id, set()).add(row_id)
         postings = self._part_feature_rows.setdefault(interned.part_id, {})
         for feature in interned.features:
-            postings.setdefault(feature, set()).add(row_id)
-            self._feature_rows.setdefault(feature, set()).add(row_id)
+            postings.setdefault(feature, {})[row_id] = None
+            self._feature_rows.setdefault(feature, {})[row_id] = None
         return interned
 
     def set_support(self, row_id: int, support: int) -> KnowledgeNode:
@@ -110,12 +118,12 @@ class NodeCache:
             if postings is not None:
                 bucket = postings.get(feature)
                 if bucket is not None:
-                    bucket.discard(row_id)
+                    bucket.pop(row_id, None)
                     if not bucket:
                         del postings[feature]
             global_bucket = self._feature_rows.get(feature)
             if global_bucket is not None:
-                global_bucket.discard(row_id)
+                global_bucket.pop(row_id, None)
                 if not global_bucket:
                     del self._feature_rows[feature]
 
@@ -132,27 +140,28 @@ class NodeCache:
         return (part_id in self._part_rows
                 or part_id in self._part_feature_rows)
 
-    def candidate_rows(self, part_id: str,
-                       features: Iterable[str]) -> set[int]:
-        """Row ids matching Fig. 5 for (*part_id*, *features*).
+    def candidates(self, part_id: str,
+                   features: frozenset[str] | set[str]) -> list[Candidate]:
+        """Fig. 5 candidates for (*part_id*, *features*), counted.
 
         Known part: that part's rows sharing >= 1 feature.  Unknown part:
-        any row sharing a feature, else every row (the paper's fallback).
+        any row sharing a feature, else every row (the paper's fallback)
+        with a count of 0.  One ``Counter`` over the matching posting
+        lists yields each candidate's shared-feature count as a side
+        effect of the union, so scoring needs no set intersection.
+        Returns ``(node, shared)`` pairs in row-id order.
         """
         postings = self._part_feature_rows.get(part_id)
-        shared: set[int] = set()
-        if postings is None and part_id not in self._part_rows:
-            for feature in features:
-                bucket = self._feature_rows.get(feature)
-                if bucket:
-                    shared |= bucket
-            return shared if shared else set(self._nodes)
-        if postings is not None:
-            for feature in features:
-                bucket = postings.get(feature)
-                if bucket:
-                    shared |= bucket
-        return shared
+        unknown = postings is None
+        if unknown:
+            postings = self._feature_rows
+        shared = Counter(chain.from_iterable(
+            bucket for bucket in map(postings.get, features) if bucket))
+        if not shared and unknown:
+            shared = dict.fromkeys(self._nodes, 0)
+        rows = sorted(shared)
+        return list(zip(map(self._nodes.__getitem__, rows),
+                        map(shared.__getitem__, rows)))
 
 
 #: One exported knowledge row: (row id, part id, error code, sorted
@@ -196,12 +205,9 @@ class FrozenKnowledgeView:
         return self._cache.has_part(part_id)
 
     def candidates(self, part_id: str,
-                   features: frozenset[str] | set[str]) -> list[KnowledgeNode]:
+                   features: frozenset[str] | set[str]) -> list[Candidate]:
         """Fig. 5 candidate retrieval, identical to the live base's."""
-        node_of = self._cache.node
-        return [node_of(row_id)
-                for row_id in sorted(self._cache.candidate_rows(part_id,
-                                                                features))]
+        return self._cache.candidates(part_id, features)
 
     def export_rows(self) -> list[KnowledgeRow]:
         """The rows this view was built from (round-trip support)."""
@@ -386,32 +392,31 @@ class KnowledgeBase:
     # candidate retrieval (Fig. 5)
 
     def candidates(self, part_id: str,
-                   features: frozenset[str] | set[str]) -> list[KnowledgeNode]:
+                   features: frozenset[str] | set[str]) -> list[Candidate]:
         """The neighbour candidate set for a bundle under classification.
 
         Nodes with the bundle's part ID sharing >= 1 feature; all nodes of
         the part when nothing shares a feature is NOT the fallback — the
         paper falls back to *all* nodes only when the part ID itself is
-        unknown to the knowledge base.
+        unknown to the knowledge base.  Each node comes with the number
+        of features it shares with *features*, in row-id order.
 
         Served from the write-through :class:`NodeCache`: no relstore row
-        is touched, but the returned nodes and their order are identical
+        is touched, but the returned pairs and their order are identical
         to :meth:`candidates_from_store`.
         """
-        node_of = self._cache.node
-        return [node_of(row_id)
-                for row_id in sorted(self._cache.candidate_rows(part_id,
-                                                                features))]
+        return self._cache.candidates(part_id, features)
 
     def candidates_from_store(self, part_id: str,
                               features: frozenset[str] | set[str],
-                              ) -> list[KnowledgeNode]:
+                              ) -> list[Candidate]:
         """Candidate retrieval straight from the relstore table (no cache).
 
         The reference implementation the cache is checked against (and the
         path of record before the cache existed).  Uses the table's
         indexes when they exist and falls back to full scans when they
-        were dropped or the table was supplied without them.
+        were dropped or the table was supplied without them.  Shared
+        counts come from intersecting each row's feature set.
         """
         part_index = self._table.index_for("part_id")
         feature_index = self._table.index_for("features", inverted=True)
@@ -432,13 +437,13 @@ class KnowledgeBase:
             row_ids = shared_rows if shared_rows else set(self._table.row_ids())
         else:
             row_ids = part_rows & shared_rows
-        nodes = []
+        candidates = []
         for row_id in sorted(row_ids):
             row = self._table.get(row_id)
-            nodes.append(KnowledgeNode(row["part_id"], row["error_code"],
-                                       frozenset(row["features"]),
-                                       row["support"]))
-        return nodes
+            node = KnowledgeNode(row["part_id"], row["error_code"],
+                                 frozenset(row["features"]), row["support"])
+            candidates.append((node, node.shared_features(features)))
+        return candidates
 
     def __repr__(self) -> str:
         return (f"<KnowledgeBase kind={self.feature_kind!r} "

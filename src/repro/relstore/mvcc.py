@@ -249,6 +249,9 @@ class MvccState:
         self._inflight_cond = threading.Condition(self.lock)
         #: The transaction currently holding the writer slot, if any.
         self._writer_txn: Transaction | None = None
+        #: Held by the running GC pass; a second pass skips, because two
+        #: passes would both ``del`` the same version chain.
+        self._gc_pass = threading.Lock()
         #: Version-chain entries created since the last GC pass.
         self._garbage = 0
         self._commits = 0
@@ -447,11 +450,19 @@ class MvccState:
         Returns the number of chain entries discarded.  Safe to run
         concurrently with readers: chains are replaced wholesale, never
         mutated in place, and only entries below the watermark go.
+        Passes are serialized: a call that finds one already running
+        skips its own and returns 0 (concurrent ``unpin`` calls each
+        start a pass; one is enough).
         """
-        watermark = self.watermark()
-        pruned = 0
-        for table in self._tables():
-            pruned += table._gc_versions(watermark)
-        with self.lock:
-            self._garbage = max(0, self._garbage - pruned)
-        return pruned
+        if not self._gc_pass.acquire(blocking=False):
+            return 0
+        try:
+            watermark = self.watermark()
+            pruned = 0
+            for table in self._tables():
+                pruned += table._gc_versions(watermark)
+            with self.lock:
+                self._garbage = max(0, self._garbage - pruned)
+            return pruned
+        finally:
+            self._gc_pass.release()

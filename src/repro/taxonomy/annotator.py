@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..text.normalize import normalize_phrase, normalize_token
+from ..text.normalize import (normalize_phrase, normalize_token,
+                              normalized_tokens)
 from ..text.tokenizer import token_spans
 from ..uima import CAS, AnalysisEngine
 from .model import Category, Concept, Taxonomy
@@ -162,8 +163,17 @@ class ConceptAnnotator(AnalysisEngine):
         return matches
 
     def concept_ids(self, text: str) -> list[str]:
-        """The concept ids mentioned in *text*, in text order."""
-        return [match.concept_id for match in self.match_text(text)]
+        """The concept ids mentioned in *text*, in text order.
+
+        The same matches as :meth:`match_text`, read straight off the
+        trie: no offsets are kept, so no token span or match object is
+        built.  This is bag-of-concepts feature extraction's hot path.
+        """
+        normalized = normalized_tokens(text)
+        if self._splitter is not None:
+            normalized, _ = self._expand_tokens(normalized)
+        return [value.concept_id
+                for _, _, value in self._trie.iter_matches(normalized)]
 
 
 def resolve_concepts(cas: CAS, taxonomy: Taxonomy) -> list[Concept]:

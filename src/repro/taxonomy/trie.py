@@ -90,17 +90,20 @@ class TokenTrie:
 
         Yields ``(start, length, value)`` for each match; the scan resumes
         after a match's last token, so matches never overlap and no match
-        enclosed by another is emitted.
+        enclosed by another is emitted.  Only tokens that begin some
+        phrase are tried as starts (most tokens of a text begin none).
         """
-        position = 0
-        while position < len(tokens):
-            match = self.longest_match(tokens, position)
-            if match is None:
-                position += 1
+        first = self._root.children
+        resume = 0
+        for start in [position for position, token in enumerate(tokens)
+                      if token in first]:
+            if start < resume:
                 continue
-            length, value = match
-            yield position, length, value
-            position += length
+            match = self.longest_match(tokens, start)
+            if match is not None:
+                length, value = match
+                yield start, length, value
+                resume = start + length
 
     def iter_phrases(self) -> Iterator[tuple[tuple[str, ...], Any]]:
         """Yield every stored (phrase, value) pair in lexicographic order."""

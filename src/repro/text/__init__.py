@@ -3,7 +3,8 @@
 from .language import (ENGLISH, GERMAN, UNKNOWN, LanguageDetector,
                        LanguageGuess, detect_language, score_language)
 from .compound import (CompoundSplitter, splitter_from_taxonomy)
-from .normalize import fold_umlauts, normalize_phrase, normalize_token
+from .normalize import (fold_umlauts, normalize_phrase, normalize_token,
+                        normalized_tokens)
 from .stem import stem, stem_all, stem_english, stem_german
 from .stopwords import (ALL_STOPWORDS, ENGLISH_STOPWORDS, GERMAN_STOPWORDS,
                         is_stopword, remove_stopwords)
@@ -26,6 +27,7 @@ __all__ = [
     "is_stopword",
     "normalize_phrase",
     "normalize_token",
+    "normalized_tokens",
     "remove_stopwords",
     "score_language",
     "stem",

@@ -58,8 +58,10 @@ def test_candidates_respect_part_filter(nodes, text, part):
     known_parts = kb.part_ids()
     candidates = kb.candidates(part, features)
     if part in known_parts:
-        assert all(node.part_id == part for node in candidates)
-        assert all(node.features & features for node in candidates)
+        assert all(node.part_id == part for node, _ in candidates)
+        assert all(node.features & features for node, _ in candidates)
+    assert all(shared == len(node.features & features)
+               for node, shared in candidates)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,13 +2,13 @@
 
 :func:`reference_rank` is the paper's procedure written out with no node
 cache, no heap and no memo: Fig. 5 candidates straight from the relstore
-table (``candidates_from_store``), every candidate scored, one full
-stable ``sorted`` by (score desc, error code, support desc) — so equal
-keys keep their row order — then the codes of the best ``node_cutoff``
-nodes aggregated per code (Fig. 7).  Every optimized path
-(``NodeCache`` retrieval, the tuple-keyed top-k selection, the frozen
-snapshot view) must reproduce it on every held-out bundle, node for node
-and code for code.
+table (``candidates_from_store``), every candidate scored from its own
+``len(features & node.features)``, one full stable ``sorted`` by (score
+desc, error code, support desc) — so equal keys keep their row order —
+then the codes of the best ``node_cutoff`` nodes aggregated per code
+(Fig. 7).  Every optimized path (``NodeCache`` counting retrieval, the
+tuple-keyed top-k selection, the frozen snapshot view) must reproduce it
+on every held-out bundle, node for node and code for code.
 """
 
 import pytest
@@ -27,11 +27,11 @@ SMALL = {
 }
 
 
-def shares_any(a, b):
+def shares_any(shared, len_a, len_b):
     """A deliberately coarse similarity: every candidate ties at 1.0, so
     the ranking rests entirely on the tie-break (code, support, row
     order)."""
-    return 1.0 if a & b else 0.0
+    return 1.0 if shared else 0.0
 
 
 SCORERS = dict(SIMILARITIES, shares_any=shares_any)
@@ -41,8 +41,11 @@ def reference_rank(knowledge_base, part_id, features, similarity,
                    node_cutoff):
     """Fig. 5 retrieval, full sort, top nodes, Fig. 7 code aggregation."""
     candidates = knowledge_base.candidates_from_store(part_id, features)
-    scored = [(similarity(features, node.features), node)
-              for node in candidates]
+    # the count is taken here, from the relstore row's feature set, so the
+    # reference does not depend on the shared counts retrieval returns
+    scored = [(similarity(len(features & node.features), len(features),
+                          len(node.features)), node)
+              for node, _ in candidates]
     ranked = sorted(scored, key=lambda item: (-item[0], item[1].error_code,
                                               -item[1].support))
     top = ranked[:node_cutoff]
@@ -132,7 +135,7 @@ def test_ties_reach_the_cutoff(trained):
         pool = knowledge_base.candidates_from_store(part_id, features)
         if top and len(pool) > 25:
             last = top[-1][1]
-            tied = [node for node in pool
+            tied = [node for node, _ in pool
                     if (node.error_code, node.support)
                     == (last.error_code, last.support)]
             crowded += len(tied) > sum(1 for _, node in top

@@ -114,9 +114,9 @@ class TestRunExperiment:
                                                             extractor)
                 calls = []
 
-                def counting(a, b):
+                def counting(shared, len_a, len_b):
                     calls.append(None)
-                    return jaccard(a, b)
+                    return jaccard(shared, len_a, len_b)
 
                 classifier = RankedKnnClassifier(knowledge_base, extractor,
                                                  counting)

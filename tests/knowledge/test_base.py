@@ -75,27 +75,36 @@ class TestIntrospection:
 class TestCandidates:
     def test_same_part_and_shared_feature(self, kb):
         candidates = kb.candidates("P1", frozenset({"c2"}))
-        assert {node.error_code for node in candidates} == {"E1", "E2"}
+        assert {node.error_code for node, _ in candidates} == {"E1", "E2"}
 
     def test_shared_feature_required(self, kb):
         candidates = kb.candidates("P1", frozenset({"c1"}))
-        assert {node.error_code for node in candidates} == {"E1"}
+        assert {node.error_code for node, _ in candidates} == {"E1"}
 
     def test_no_shared_feature_yields_empty(self, kb):
         assert kb.candidates("P1", frozenset({"zz"})) == []
 
     def test_unknown_part_falls_back_to_feature_match(self, kb):
         candidates = kb.candidates("P99", frozenset({"c4"}))
-        assert {node.error_code for node in candidates} == {"E3"}
+        assert {node.error_code for node, _ in candidates} == {"E3"}
 
     def test_unknown_part_unknown_features_returns_all(self, kb):
         candidates = kb.candidates("P99", frozenset({"zz"}))
         assert len(candidates) == 3
 
+    def test_candidates_carry_shared_counts(self, kb):
+        counted = kb.candidates("P1", frozenset({"c1", "c2", "zz"}))
+        assert ([(node.error_code, shared) for node, shared in counted]
+                == [("E1", 2), ("E2", 1)])
+
+    def test_global_fallback_counts_zero(self, kb):
+        fallback = kb.candidates("P99", frozenset({"zz"}))
+        assert [shared for _, shared in fallback] == [0, 0, 0]
+
     def test_candidates_deterministic_order(self, kb):
         first = kb.candidates("P1", frozenset({"c2"}))
         second = kb.candidates("P1", frozenset({"c2"}))
-        assert [n.key for n in first] == [n.key for n in second]
+        assert [n.key for n, _ in first] == [n.key for n, _ in second]
 
     def test_store_path_matches_cache(self, kb):
         for part, features in (("P1", {"c2"}), ("P1", {"c1"}),
@@ -113,7 +122,7 @@ class TestCandidates:
         expected = [("P1", {"c2"}, {"E1", "E2"}), ("P99", {"c4"}, {"E3"})]
         for part, features, codes in expected:
             via_scan = kb.candidates_from_store(part, frozenset(features))
-            assert {node.error_code for node in via_scan} == codes
+            assert {node.error_code for node, _ in via_scan} == codes
             assert kb.candidates(part, frozenset(features)) == via_scan
 
 
@@ -126,7 +135,7 @@ class TestNodeCache:
 
     def test_cache_tracks_support_merge(self, kb):
         kb.add_observation("P1", "E1", {"c1", "c2"})
-        (node,) = [n for n in kb.candidates("P1", frozenset({"c1"}))
+        (node,) = [n for n, _ in kb.candidates("P1", frozenset({"c1"}))
                    if n.error_code == "E1"]
         assert node.support == 2
 
@@ -153,7 +162,7 @@ class TestPersistenceIntegration:
         restored = KnowledgeBase(feature_kind="test", database=restored_db)
         assert len(restored) == len(kb)
         candidates = restored.candidates("P1", frozenset({"c2"}))
-        assert {node.error_code for node in candidates} == {"E1", "E2"}
+        assert {node.error_code for node, _ in candidates} == {"E1", "E2"}
 
     def test_dedup_after_reload(self, tmp_path, kb):
         from repro.relstore import load_database, save_database
@@ -185,7 +194,8 @@ class TestRemoveObservation:
 
     def test_indexes_updated_after_delete(self, kb):
         kb.remove_observation("P1", "E1", {"c1", "c2"})
-        assert {n.error_code for n in kb.candidates("P1", frozenset({"c2"}))} == {"E2"}
+        assert {n.error_code
+                for n, _ in kb.candidates("P1", frozenset({"c2"}))} == {"E2"}
 
     def test_add_after_remove_roundtrip(self, kb):
         kb.remove_observation("P1", "E1", {"c1", "c2"})

@@ -2,9 +2,9 @@
 
 The cache is only allowed to make candidate retrieval faster, never
 different: after any sequence of observations and retractions,
-``KnowledgeBase.candidates`` (cache) must return the same nodes in the
-same order as ``KnowledgeBase.candidates_from_store`` (relstore indexes /
-full scan).
+``KnowledgeBase.candidates`` (cache) must return the same nodes with the
+same shared-feature counts in the same order as
+``KnowledgeBase.candidates_from_store`` (relstore indexes / full scan).
 """
 
 from hypothesis import given, settings
@@ -44,9 +44,12 @@ def test_cache_equals_store_path(operations, query):
     part, features = query
     cached = kb.candidates(part, features)
     stored = kb.candidates_from_store(part, features)
-    assert [node.key for node in cached] == [node.key for node in stored]
-    assert [node.support for node in cached] == [node.support
-                                                 for node in stored]
+    assert [node.key for node, _ in cached] == [node.key
+                                                for node, _ in stored]
+    assert [node.support for node, _ in cached] == [node.support
+                                                    for node, _ in stored]
+    assert ([shared for _, shared in cached]
+            == [len(node.features & features) for node, _ in stored])
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,4 +76,6 @@ def test_cache_equals_store_without_indexes(operations, query):
     part, features = query
     cached = kb.candidates(part, features)
     stored = kb.candidates_from_store(part, features)  # full-scan fallback
-    assert [node.key for node in cached] == [node.key for node in stored]
+    assert [node.key for node, _ in cached] == [node.key
+                                                for node, _ in stored]
+    assert cached == stored

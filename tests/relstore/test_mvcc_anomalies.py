@@ -445,6 +445,56 @@ class TestReadView:
         assert db.mvcc_stats()["version_entries"] == 0
         assert table.get(row_id)["n"] == 4
 
+    def test_concurrent_gc_passes_do_not_delete_a_chain_twice(self):
+        """Regression: two GC passes (each ``unpin`` may start one) both
+        reached ``del`` for the same version chain, and the second raised
+        ``KeyError`` out of whatever call ended the transaction.  The
+        first pass is held just before its first deletion while a second
+        pass runs; the second must skip, and the first must finish."""
+        db = make_db([{"k": "a", "n": 0}, {"k": "b", "n": 0}])
+        table = db.table("t")
+        state = db._mvcc
+        old, _ = state.pin()
+        for row_id in list(table.row_ids()):
+            table.update(row_id, {"n": 1})
+        current, _ = state.pin()  # keeps GC from running on unpin
+        state.unpin(old)
+        assert db.mvcc_stats()["version_entries"] == 2
+
+        class PausingChains(dict):
+            """Version chains whose first deletion waits to be resumed."""
+
+            paused, resume = threading.Event(), threading.Event()
+
+            def __delitem__(self, row_id):
+                if not self.paused.is_set():
+                    self.paused.set()
+                    assert self.resume.wait(timeout=30)
+                super().__delitem__(row_id)
+
+        chains = table._versions = PausingChains(table._versions)
+        first = {}
+
+        def first_pass():
+            try:
+                first["pruned"] = db.vacuum()
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                first["error"] = exc
+
+        thread = threading.Thread(target=first_pass)
+        thread.start()
+        assert chains.paused.wait(timeout=30)
+        second = in_thread(db.vacuum)
+        chains.resume.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert "error" not in first, first.get("error")
+        assert (first["pruned"], second) == (2, 0)
+        assert db.mvcc_stats()["version_entries"] == 0
+        state.unpin(current)
+        assert rows_by_k(table) == {"a": 1, "b": 1}
+        assert db.check_consistency() == []
+
 
 class TestConcurrentReaderStress:
     def test_readers_never_see_uncommitted_rows(self):

@@ -121,3 +121,26 @@ def test_iter_matches_never_overlaps(phrases, tokens):
         assert length >= 1
         previous_end = start + length
         assert previous_end <= len(tokens)
+
+
+def reference_scan(trie, tokens):
+    """Left-bounded greedy longest match tried at every position."""
+    position, found = 0, []
+    while position < len(tokens):
+        match = trie.longest_match(tokens, position)
+        if match is None:
+            position += 1
+            continue
+        found.append((position, *match))
+        position += match[0]
+    return found
+
+
+@given(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3).map(tuple),
+                max_size=10),
+       st.lists(st.sampled_from("abcde"), max_size=16).map(tuple))
+def test_iter_matches_equals_scan_from_every_position(phrases, tokens):
+    trie = TokenTrie()
+    for phrase in phrases:
+        trie.insert(phrase, phrase)
+    assert list(trie.iter_matches(tokens)) == reference_scan(trie, tokens)
