@@ -4,8 +4,8 @@ The per-bundle runtime claim (§5.2.2, reproduced in ``bench_runtime.py``)
 used to be bottlenecked on re-materializing KnowledgeNode objects from
 relstore rows for every candidate of every classification.  This bench
 pits the relstore-backed retrieval path (``candidates_from_store``, the
-pre-cache path of record) against the write-through NodeCache path on the
-same knowledge base and test bundles, asserts they return identical
+pre-cache path of record) against the published ``FrozenKnowledgeView``
+path on the same knowledge base and test bundles, asserts they return identical
 recommendations, and records the speedup as machine-readable JSON in
 ``benchmarks/results/BENCH_cache.json`` so the perf trajectory is tracked
 across PRs.
@@ -62,7 +62,7 @@ def test_candidate_cache_speedup(benchmark, corpus, bundles, annotator,
     store_ms = store_seconds / len(test_bundles) * 1000
     cached_ms = cached_seconds / len(test_bundles) * 1000
     speedup = store_seconds / cached_seconds
-    reporter.row("A6c — candidate retrieval: relstore path vs NodeCache")
+    reporter.row("A6c — candidate retrieval: relstore path vs published view")
     reporter.row(f"{'path':<16}{'ms/bundle':>12}")
     reporter.row(f"{'store (before)':<16}{store_ms:>12.3f}")
     reporter.row(f"{'cached (after)':<16}{cached_ms:>12.3f}")

@@ -8,35 +8,49 @@ are what we reproduce):
 * bag-of-concepts:         ~0.14 s per bundle (fastest, ~3.5x faster)
 """
 
+import statistics
+
 from conftest import bench_folds
 
 from repro.evaluate import ExperimentConfig, run_experiment
+
+MODES = ("words", "words-nostop", "concepts")
+#: Interleaved runs per mode; the timing checks read each mode's median,
+#: so one run slowed by CPU contention cannot decide them.
+RUNS = 5
 
 
 def test_runtime_per_bundle(benchmark, corpus, bundles, annotator, reporter):
     folds = min(bench_folds(), 3)  # timing needs no more folds
 
     def run_all():
-        results = {}
-        for mode in ("words", "words-nostop", "concepts"):
-            config = ExperimentConfig(feature_mode=mode, folds=folds)
-            results[mode] = run_experiment(bundles, config, corpus.taxonomy,
-                                           annotator)
-        return results
+        runs = {mode: [] for mode in MODES}
+        for _ in range(RUNS):
+            for mode in MODES:
+                config = ExperimentConfig(feature_mode=mode, folds=folds)
+                runs[mode].append(run_experiment(bundles, config,
+                                                 corpus.taxonomy, annotator))
+        return runs
 
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    reporter.row("§5.2.2 — classification time per data bundle")
+    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    # accuracies are deterministic (fixed seeds): any run reports them
+    results = {mode: mode_runs[0] for mode, mode_runs in runs.items()}
+    seconds = {mode: statistics.median(run.seconds_per_bundle
+                                       for run in mode_runs)
+               for mode, mode_runs in runs.items()}
+    reporter.row("§5.2.2 — classification time per data bundle "
+                 f"(median of {RUNS} interleaved runs)")
     reporter.row(f"{'variant':<16}{'paper':>12}{'measured':>14}{'acc@1':>9}")
     paper = {"words": "0.50 s", "words-nostop": "0.30 s",
              "concepts": "0.14 s"}
     for mode, result in results.items():
         reporter.row(f"{mode:<16}{paper[mode]:>12}"
-                     f"{result.seconds_per_bundle * 1000:>11.2f} ms"
+                     f"{seconds[mode] * 1000:>11.2f} ms"
                      f"{result.accuracies[1]:>9.3f}")
 
-    words = results["words"].seconds_per_bundle
-    nostop = results["words-nostop"].seconds_per_bundle
-    concepts = results["concepts"].seconds_per_bundle
+    words = seconds["words"]
+    nostop = seconds["words-nostop"]
+    concepts = seconds["concepts"]
     # concepts are the clear winner (paper ratio ~3.5x; require >= 2x) —
     # this ordering is far outside wall-clock noise
     assert concepts < words

@@ -45,16 +45,12 @@ throughput — scoring reads signals the ranker already computed, so its
 overhead must stay under ``CONFIDENCE_OVERHEAD_CEILING_PCT``.
 
 The fifth phase (bench A11) prices the relstore's MVCC snapshot reads:
-pooled reader threads run an index-assisted query trace three ways —
-idle (no writer), under a continuously committing MVCC writer
-transaction (readers pin ``read_view()`` snapshots, never block), and
-under the pre-MVCC reader-writer-lock discipline (readers share the
-read side, the writer holds the exclusive side per transaction).
-Floors, enforced only on multi-core hosts (a single core just
-time-slices the GIL either way): MVCC reader p95 under the committing
-writer stays within ``MVCC_P95_DEGRADATION_CEILING`` of the idle p95,
-and MVCC reader throughput beats the RWLock arm by at least
-``MVCC_RWLOCK_SPEEDUP_FLOOR``.
+pooled reader threads run an index-assisted query trace twice — idle
+(no writer) and under a continuously committing MVCC writer transaction
+(readers pin ``read_view()`` snapshots, never block).  Ceiling,
+enforced only on multi-core hosts (a single core just time-slices the
+GIL either way): MVCC reader p95 under the committing writer stays
+within ``MVCC_P95_DEGRADATION_CEILING`` of the idle p95.
 
 The sixth phase (ISSUE PR 10, bench A12) measures connection *scale*
 rather than request throughput: both transports — the threaded
@@ -131,8 +127,8 @@ IDLE_PROBE_CLIENTS = 4
 #: scheduling rather than everything time-slicing one core anyway.
 AIO_P95_RATIO_CEILING = 1.0
 
-# MVCC phase (A11): relstore reader latency/throughput under a
-# committing writer, snapshot reads vs the old reader-writer lock.
+# MVCC phase (A11): relstore snapshot reader latency/throughput, idle
+# and under a committing writer.
 MVCC_ROWS = 400
 MVCC_READS = 400          # reads per reader thread per arm
 MVCC_READERS = 4
@@ -140,9 +136,6 @@ MVCC_WRITER_TXN_ROWS = 20  # rows updated per writer transaction
 #: Ceiling on MVCC reader p95 degradation under a committing writer,
 #: relative to the idle-reader p95 (the acceptance bar: within 1.5x).
 MVCC_P95_DEGRADATION_CEILING = 1.5
-#: Floor for MVCC reader throughput over the RWLock arm's, both
-#: measured under the same committing-writer load.
-MVCC_RWLOCK_SPEEDUP_FLOOR = 1.5
 
 
 def _build_service(corpus, bundles):
@@ -764,18 +757,14 @@ def _mvcc_arm(db, table, guard, writer=None):
 
 
 def test_mvcc_reader_isolation(benchmark, reporter):
-    """A11 — MVCC snapshot reads vs the RWLock under a committing writer.
+    """A11 — MVCC snapshot reads, idle and under a committing writer.
 
-    Three arms over the same table and reader trace:
+    Two arms over the same table and reader trace:
 
     * ``idle``   — MVCC read views, no writer (the latency baseline);
     * ``mvcc``   — MVCC read views while a writer commits transactions
-      back to back (readers never block on the writer);
-    * ``rwlock`` — the pre-MVCC discipline: readers share an
-      :class:`~repro.serve.locks.RWLock` read side, the writer holds the
-      exclusive side for each whole transaction.
+      back to back (readers never block on the writer).
     """
-    from repro.serve.locks import RWLock
     db, table = _mvcc_bench_db()
     row_ids = list(table.row_ids())
 
@@ -788,60 +777,37 @@ def test_mvcc_reader_isolation(benchmark, reporter):
                     table.update(row_id, {"n": counter})
             counter += 1
 
-    store_lock = RWLock()
-
-    def rwlock_writer(stop):
-        counter = 0
-        while not stop.is_set():
-            with store_lock.write_locked():
-                for offset in range(MVCC_WRITER_TXN_ROWS):
-                    row_id = row_ids[(counter + offset) % len(row_ids)]
-                    table.update(row_id, {"n": counter})
-            counter += 1
-
     def run_arms():
         idle = _mvcc_arm(db, table, db.read_view)
         mvcc = _mvcc_arm(db, table, db.read_view, writer=mvcc_writer)
-        rwlock = _mvcc_arm(db, table, store_lock.read_locked,
-                           writer=rwlock_writer)
-        return idle, mvcc, rwlock
+        return idle, mvcc
 
-    (idle, mvcc, rwlock) = benchmark.pedantic(run_arms, rounds=1,
-                                              iterations=1)
+    (idle, mvcc) = benchmark.pedantic(run_arms, rounds=1, iterations=1)
     idle_rps, idle_p95 = idle
     mvcc_rps, mvcc_p95 = mvcc
-    rwlock_rps, rwlock_p95 = rwlock
     db.vacuum()
     assert db.check_consistency() == []
 
     p95_ratio = mvcc_p95 / idle_p95 if idle_p95 else 1.0
-    speedup = mvcc_rps / rwlock_rps if rwlock_rps else float("inf")
     cpus = os.cpu_count() or 1
     floor_enforced = cpus >= 2
     reporter.row("A11 — relstore readers under a committing writer: "
-                 "MVCC read views vs RWLock")
+                 "MVCC read views")
     reporter.row(f"{'arm':<22}{'reads/s':>10}{'p95 ms':>10}")
     reporter.row(f"{'idle (no writer)':<22}{idle_rps:>10.1f}"
                  f"{idle_p95:>10.3f}")
     reporter.row(f"{'mvcc + writer':<22}{mvcc_rps:>10.1f}"
                  f"{mvcc_p95:>10.3f}")
-    reporter.row(f"{'rwlock + writer':<22}{rwlock_rps:>10.1f}"
-                 f"{rwlock_p95:>10.3f}")
     reporter.row(f"p95 under writer: {p95_ratio:.2f}x idle "
                  f"(ceiling {MVCC_P95_DEGRADATION_CEILING}x) | "
-                 f"mvcc/rwlock throughput: {speedup:.2f}x "
-                 f"(floor {MVCC_RWLOCK_SPEEDUP_FLOOR}x) | "
                  f"{MVCC_READERS} readers x {MVCC_READS} reads")
     if floor_enforced:
         assert p95_ratio <= MVCC_P95_DEGRADATION_CEILING, (
             f"MVCC reader p95 degraded {p95_ratio:.2f}x under a "
             f"committing writer, over the "
             f"{MVCC_P95_DEGRADATION_CEILING}x ceiling")
-        assert speedup >= MVCC_RWLOCK_SPEEDUP_FLOOR, (
-            f"MVCC readers only {speedup:.2f}x the RWLock arm, under "
-            f"the {MVCC_RWLOCK_SPEEDUP_FLOOR}x floor")
     else:
-        reporter.row(f"single-core host: floors recorded, not enforced")
+        reporter.row("single-core host: ceiling recorded, not enforced")
 
     results_path = RESULTS_DIR / "BENCH_serving.json"
     payload = {}
@@ -852,12 +818,9 @@ def test_mvcc_reader_isolation(benchmark, reporter):
         "mvcc_readers": MVCC_READERS,
         "mvcc_reader_rps_idle": round(idle_rps, 1),
         "mvcc_reader_rps_writer": round(mvcc_rps, 1),
-        "rwlock_reader_rps_writer": round(rwlock_rps, 1),
         "mvcc_idle_p95_ms": round(idle_p95, 3),
         "mvcc_writer_p95_ms": round(mvcc_p95, 3),
-        "rwlock_writer_p95_ms": round(rwlock_p95, 3),
         "mvcc_p95_ratio": round(p95_ratio, 3),
-        "mvcc_vs_rwlock_speedup": round(speedup, 3),
         "mvcc_floor_enforced": floor_enforced,
     })
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -130,8 +130,15 @@ class RankedKnnClassifier:
         if ranked:
             winner = ranked[0].error_code
             winner_nodes = sum(1 for item in top if item[1] == winner)
-        has_part = getattr(self.knowledge_base, "has_part", None)
-        part_known = bool(has_part(part_id)) if has_part is not None else True
+        if top:
+            # A known part's pool holds only its own nodes, an unknown
+            # part's (the Fig. 5 fallback) none of them: reading this off
+            # the pool takes it from the same knowledge view.
+            part_known = top[0][4].part_id == part_id
+        else:
+            has_part = getattr(self.knowledge_base, "has_part", None)
+            part_known = (bool(has_part(part_id)) if has_part is not None
+                          else True)
         return Recommendation(ref_no=ref_no, part_id=part_id, codes=ranked,
                               pool_size=len(top),
                               winner_nodes=winner_nodes,

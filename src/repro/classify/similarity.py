@@ -9,8 +9,9 @@ Every set-overlap measure is a function of three numbers: the size of
 the intersection ``|A ∩ B|`` and the sizes ``|A|`` and ``|B|``.  So a
 measure here takes ``(shared, len_a, len_b)`` rather than the two sets:
 Fig. 5 retrieval counts each candidate's shared features while it
-unions the posting lists (:meth:`repro.knowledge.NodeCache.candidates`),
-and scoring never intersects a set.
+unions the posting lists
+(:meth:`repro.knowledge.FrozenKnowledgeView.candidates`), and scoring
+never intersects a set.
 
 All measures map to [0, 1]; two empty sets are defined to have
 similarity 0 (such pairs never reach scoring anyway, because candidate

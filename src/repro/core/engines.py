@@ -41,7 +41,13 @@ def cas_features(cas: CAS, feature_kind: str) -> frozenset[str]:
 
 
 class KnowledgeBaseConsumer(CasConsumer):
-    """Training-phase consumer building the knowledge base (Fig. 8, 3a/b)."""
+    """Training-phase consumer building the knowledge base (Fig. 8, 3a/b).
+
+    A bulk load: each CAS only stages its node, and :meth:`finish`
+    publishes the knowledge base's view once for the whole collection.
+    A run that raises before :meth:`finish` leaves its nodes staged until
+    the knowledge base's next publish.
+    """
 
     def __init__(self, knowledge_base: KnowledgeBase) -> None:
         self.knowledge_base = knowledge_base
@@ -53,8 +59,12 @@ class KnowledgeBaseConsumer(CasConsumer):
             return  # nothing to learn from unclassified data
         features = cas_features(cas, self.knowledge_base.feature_kind)
         self.knowledge_base.add_observation(cas.metadata["part_id"],
-                                            error_code, features)
+                                            error_code, features,
+                                            publish=False)
         self.consumed += 1
+
+    def finish(self) -> None:
+        self.knowledge_base.publish()
 
 
 class ClassifierEngine(AnalysisEngine):

@@ -1,7 +1,7 @@
 """Knowledge nodes, feature extraction and the knowledge base (§4.3-4.4)."""
 
 from .base import (NODE_SCHEMA, FrozenKnowledgeView, KnowledgeBase,
-                   KnowledgeRow, NodeCache)
+                   KnowledgeRow)
 from .extractor import (BagOfConceptsExtractor, BagOfWordsExtractor,
                         FeatureExtractor, complaint_document,
                         extract_test_features, extract_training_features,
@@ -17,7 +17,6 @@ __all__ = [
     "KnowledgeRow",
     "KnowledgeNode",
     "NODE_SCHEMA",
-    "NodeCache",
     "complaint_document",
     "extract_test_features",
     "extract_training_features",

@@ -10,20 +10,22 @@ concerns".  Candidate retrieval follows Fig. 5:
    (fallback: *all* nodes when the part ID is unknown),
 3. keep the nodes sharing at least one feature with the bundle.
 
-On the classification hot path the steps are answered from a write-through
-:class:`NodeCache` (interned nodes + posting lists) kept in sync with the
-relstore table on every mutation; the table remains the durable source of
-truth for persistence and SQL-style queries.
+On the classification hot path the steps are answered from an immutable
+:class:`FrozenKnowledgeView` (interned nodes + posting lists).  The table
+stays the source of truth: every committed unit of work publishes one new
+view derived from the rows it touched, so readers take no lock and never
+see an uncommitted or rolled-back write.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from itertools import chain
 from typing import Iterable, Iterator
 
 from ..data.bundle import DataBundle
-from ..relstore import Column, ColumnType, Database, Schema
+from ..relstore import Column, ColumnType, Database, QueryError, Schema
 from .extractor import FeatureExtractor, extract_training_features
 from .node import KnowledgeNode
 
@@ -40,105 +42,168 @@ NODE_SCHEMA = Schema.build(
 #: the bundle under classification.
 Candidate = tuple[KnowledgeNode, int]
 
+#: One exported knowledge row: (row id, part id, error code, sorted
+#: feature tuple, support).  Row ids are preserved across export/import so
+#: candidate ordering — and therefore every ranked list — is identical on
+#: both sides of a process boundary.
+KnowledgeRow = tuple[int, str, str, tuple[str, ...], int]
 
-class NodeCache:
-    """Write-through materialized view of the knowledge-node table.
 
-    Candidate retrieval (Fig. 5) used to re-materialize a
-    :class:`KnowledgeNode` from a relstore row dict for every candidate of
-    every classification — by far the dominant cost of a ``classify``
-    call.  The cache keeps one interned node object per row (feature
-    frozensets shared through a pool) plus per-part and global feature
-    posting lists, so retrieval is pure dict work.  A posting list is a
-    dict of row ids used as a set: counting iterates its compact entries
-    faster than a set's sparse table, and unlinking a row stays O(1).
-    The owning :class:`KnowledgeBase` mirrors every table mutation into
-    the cache, which keeps the cached answer bit-identical to the
-    relstore-backed path (see :meth:`KnowledgeBase.candidates_from_store`).
+class _Part:
+    """One part's share of a view: its nodes by row id, their dedup keys
+    (error code, features) and its feature posting lists."""
+
+    __slots__ = ("nodes", "keys", "postings")
+
+    def __init__(self, shared: "_Part | None" = None) -> None:
+        # A copy shares the posting lists themselves; a change copies
+        # each list it touches (see FrozenKnowledgeView._apply).
+        self.nodes: dict[int, KnowledgeNode] = (
+            dict(shared.nodes) if shared else {})
+        self.keys: dict[tuple, int] = dict(shared.keys) if shared else {}
+        self.postings: dict[str, dict[int, None]] = (
+            dict(shared.postings) if shared else {})
+
+    def forget_key(self, row_id: int, node: KnowledgeNode) -> None:
+        key = (node.error_code, node.features)
+        if self.keys.get(key) == row_id:
+            del self.keys[key]
+
+    def count(self, features: Iterable[str]) -> Counter:
+        """Shared-feature counts of this part's rows sharing a feature."""
+        return Counter(chain.from_iterable(
+            bucket for bucket in map(self.postings.get, features) if bucket))
+
+
+class FrozenKnowledgeView:
+    """An immutable knowledge base: interned nodes plus posting lists.
+
+    Fig. 5 retrieval is pure dict work here: per part, one node object
+    per row (feature frozensets shared through a pool) and the feature
+    posting lists.  A posting list is a dict of row ids used as a set:
+    counting iterates its compact entries faster than a set's sparse
+    table.
+
+    A view never changes once built.  :meth:`with_changes` derives a new
+    one that copies only what a change touches (the touched parts' node,
+    key and posting dicts and the touched posting lists) and shares the
+    rest, so a reader holding a view needs no lock.  The live
+    :class:`KnowledgeBase` publishes one per committed write; read
+    replicas build one from exported rows.  Rows carry distinct dedup
+    keys (part, code, features), as a knowledge base's rows do.
     """
 
-    def __init__(self) -> None:
-        self._nodes: dict[int, KnowledgeNode] = {}
-        self._part_rows: dict[str, set[int]] = {}
-        # part_id -> feature -> row ids: candidate retrieval for a known
-        # part counts only that part's posting lists.
-        self._part_feature_rows: dict[str, dict[str, dict[int, None]]] = {}
-        # global feature -> row ids, for the unknown-part fallback.
-        self._feature_rows: dict[str, dict[int, None]] = {}
-        self._feature_pool: dict[frozenset[str], frozenset[str]] = {}
+    def __init__(self, rows: Iterable[KnowledgeRow] = (),
+                 feature_kind: str = "features") -> None:
+        self.feature_kind = feature_kind
+        self._pool: dict[frozenset[str], frozenset[str]] = {}
+        self._parts: dict[str, _Part] = {}
+        self._apply(rows, ())
+
+    def with_changes(self, upserts: Iterable[KnowledgeRow] = (),
+                     removed: Iterable[int] = ()) -> "FrozenKnowledgeView":
+        """A new view with the rows *removed*, then *upserts* applied.
+
+        An upsert adds a row or replaces the one under its id; removing an
+        absent id is a no-op.  This view stays as it is.  The feature pool
+        is shared: interning never changes an answer.
+        """
+        view = copy.copy(self)
+        view._parts = dict(self._parts)
+        view._apply(upserts, removed)
+        return view
+
+    def _apply(self, upserts: Iterable[KnowledgeRow],
+               removed: Iterable[int]) -> None:
+        """Mutate this view while it is still private to its builder.
+
+        *copied* maps each part this change copied to the features whose
+        posting lists it copied too.  Only those are mutated; everything
+        else may be shared with the view this one derives from.
+        """
+        copied: dict[str, set[str]] = {}
+        for row_id in removed:
+            found = self._locate(row_id)
+            if found is not None:
+                self._unlink(row_id, found, copied)
+        for row_id, part_id, error_code, features, support in upserts:
+            features = frozenset(features)
+            features = self._pool.setdefault(features, features)
+            node = KnowledgeNode(part_id, error_code, features, support)
+            old = self._locate(row_id)
+            if (old is not None and old.part_id == part_id
+                    and old.features is features):
+                # same postings: only the node and its key change
+                part, _ = self._writable(part_id, copied)
+                part.forget_key(row_id, old)
+            else:
+                if old is not None:
+                    self._unlink(row_id, old, copied)
+                part, lists = self._writable(part_id, copied)
+                for feature in features:
+                    if feature not in lists:
+                        lists.add(feature)
+                        part.postings[feature] = dict(
+                            part.postings.get(feature, {}))
+                    part.postings[feature][row_id] = None
+            part.keys[error_code, features] = row_id
+            part.nodes[row_id] = node
+
+    def _locate(self, row_id: int) -> KnowledgeNode | None:
+        for part in self._parts.values():
+            node = part.nodes.get(row_id)
+            if node is not None:
+                return node
+        return None
+
+    def _writable(self, part_id: str, copied: dict) -> tuple[_Part, set]:
+        lists = copied.get(part_id)
+        if lists is None:
+            lists = copied[part_id] = set()
+            self._parts[part_id] = _Part(self._parts.get(part_id))
+        return self._parts[part_id], lists
+
+    def _unlink(self, row_id: int, node: KnowledgeNode,
+                copied: dict) -> None:
+        part, lists = self._writable(node.part_id, copied)
+        del part.nodes[row_id]
+        if not part.nodes:  # the part's last node
+            del self._parts[node.part_id]
+            del copied[node.part_id]
+            return
+        part.forget_key(row_id, node)
+        for feature in node.features:
+            bucket = part.postings[feature]
+            if len(bucket) == 1:  # the emptied list goes
+                del part.postings[feature]
+                lists.discard(feature)
+                continue
+            if feature not in lists:
+                lists.add(feature)
+                bucket = part.postings[feature] = dict(bucket)
+            del bucket[row_id]
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return sum(len(part.nodes) for part in self._parts.values())
 
-    def intern_features(self, features: Iterable[str]) -> frozenset[str]:
-        """A pooled frozenset equal to *features* (shared across nodes)."""
-        features = frozenset(features)
-        return self._feature_pool.setdefault(features, features)
-
-    def node(self, row_id: int) -> KnowledgeNode:
-        """The cached node stored under *row_id*."""
-        return self._nodes[row_id]
+    def _items(self) -> list[tuple[int, KnowledgeNode]]:
+        """Every ``(row id, node)`` in row-id order."""
+        return sorted(chain.from_iterable(
+            part.nodes.items() for part in self._parts.values()))
 
     def nodes(self) -> Iterator[KnowledgeNode]:
-        """All cached nodes in row-id (= insertion) order."""
-        return iter(self._nodes.values())
+        """All nodes in row-id order."""
+        return (node for _, node in self._items())
 
-    def put(self, row_id: int, node: KnowledgeNode) -> KnowledgeNode:
-        """Register *node* under *row_id*; returns the interned copy."""
-        interned = KnowledgeNode(node.part_id, node.error_code,
-                                 self.intern_features(node.features),
-                                 node.support)
-        self._nodes[row_id] = interned
-        self._part_rows.setdefault(interned.part_id, set()).add(row_id)
-        postings = self._part_feature_rows.setdefault(interned.part_id, {})
-        for feature in interned.features:
-            postings.setdefault(feature, {})[row_id] = None
-            self._feature_rows.setdefault(feature, {})[row_id] = None
-        return interned
-
-    def set_support(self, row_id: int, support: int) -> KnowledgeNode:
-        """Replace the support of the node under *row_id* (postings keep)."""
-        node = self._nodes[row_id].with_support(support)
-        self._nodes[row_id] = node
-        return node
-
-    def discard(self, row_id: int) -> None:
-        """Forget *row_id* and unlink it from all posting lists."""
-        node = self._nodes.pop(row_id, None)
-        if node is None:
-            return
-        part_rows = self._part_rows.get(node.part_id)
-        if part_rows is not None:
-            part_rows.discard(row_id)
-            if not part_rows:
-                del self._part_rows[node.part_id]
-                self._part_feature_rows.pop(node.part_id, None)
-        postings = self._part_feature_rows.get(node.part_id)
-        for feature in node.features:
-            if postings is not None:
-                bucket = postings.get(feature)
-                if bucket is not None:
-                    bucket.pop(row_id, None)
-                    if not bucket:
-                        del postings[feature]
-            global_bucket = self._feature_rows.get(feature)
-            if global_bucket is not None:
-                global_bucket.pop(row_id, None)
-                if not global_bucket:
-                    del self._feature_rows[feature]
-
-    def clear(self) -> None:
-        """Drop all cached nodes and posting lists."""
-        self._nodes.clear()
-        self._part_rows.clear()
-        self._part_feature_rows.clear()
-        self._feature_rows.clear()
-        self._feature_pool.clear()
+    def row_id(self, key: tuple[str, str, frozenset[str]]) -> int | None:
+        """The row id of the node with dedup *key*, or ``None``."""
+        part_id, error_code, features = key
+        part = self._parts.get(part_id)
+        return part.keys.get((error_code, features)) if part else None
 
     def has_part(self, part_id: str) -> bool:
-        """Whether any cached node carries *part_id* (Fig. 5 step 2)."""
-        return (part_id in self._part_rows
-                or part_id in self._part_feature_rows)
+        """Whether the view holds any node for *part_id* (Fig. 5 step 2)."""
+        return part_id in self._parts
 
     def candidates(self, part_id: str,
                    features: frozenset[str] | set[str]) -> list[Candidate]:
@@ -151,67 +216,30 @@ class NodeCache:
         effect of the union, so scoring needs no set intersection.
         Returns ``(node, shared)`` pairs in row-id order.
         """
-        postings = self._part_feature_rows.get(part_id)
-        unknown = postings is None
-        if unknown:
-            postings = self._feature_rows
-        shared = Counter(chain.from_iterable(
-            bucket for bucket in map(postings.get, features) if bucket))
-        if not shared and unknown:
-            shared = dict.fromkeys(self._nodes, 0)
-        rows = sorted(shared)
-        return list(zip(map(self._nodes.__getitem__, rows),
-                        map(shared.__getitem__, rows)))
-
-
-#: One exported knowledge row: (row id, part id, error code, sorted
-#: feature tuple, support).  Row ids are preserved across export/import so
-#: candidate ordering — and therefore every ranked list — is identical on
-#: both sides of a process boundary.
-KnowledgeRow = tuple[int, str, str, tuple[str, ...], int]
-
-
-class FrozenKnowledgeView:
-    """A read-only knowledge base rebuilt from exported rows.
-
-    Read replicas classify against this view: it answers
-    :meth:`candidates` exactly like :class:`KnowledgeBase.candidates`
-    (same :class:`NodeCache` machinery, same row ids, same ordering) but
-    carries no relstore, no indexes and no write paths — nothing a replica
-    could mutate behind the primary's back.
-    """
-
-    def __init__(self, rows: Iterable[KnowledgeRow],
-                 feature_kind: str = "features") -> None:
-        self.feature_kind = feature_kind
-        self._cache = NodeCache()
-        self._rows: list[KnowledgeRow] = []
-        for row_id, part_id, error_code, features, support in sorted(rows):
-            node = KnowledgeNode(part_id, error_code, frozenset(features),
-                                 support)
-            self._cache.put(row_id, node)
-            self._rows.append((row_id, part_id, error_code,
-                               tuple(sorted(features)), support))
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def nodes(self) -> Iterator[KnowledgeNode]:
-        """All nodes in row-id order."""
-        return self._cache.nodes()
-
-    def has_part(self, part_id: str) -> bool:
-        """Whether the view holds any node for *part_id*."""
-        return self._cache.has_part(part_id)
-
-    def candidates(self, part_id: str,
-                   features: frozenset[str] | set[str]) -> list[Candidate]:
-        """Fig. 5 candidate retrieval, identical to the live base's."""
-        return self._cache.candidates(part_id, features)
+        part = self._parts.get(part_id)
+        if part is not None:
+            shared = part.count(features)
+            rows = sorted(shared)
+            return list(zip(map(part.nodes.__getitem__, rows),
+                            map(shared.__getitem__, rows)))
+        matches = sorted(
+            (row_id, part.nodes[row_id], count)
+            for part in self._parts.values()
+            for row_id, count in part.count(features).items())
+        if not matches:
+            return [(node, 0) for _, node in self._items()]
+        return [(node, count) for _, node, count in matches]
 
     def export_rows(self) -> list[KnowledgeRow]:
-        """The rows this view was built from (round-trip support)."""
-        return list(self._rows)
+        """Every node as a plain picklable row, sorted by row id.
+
+        The exported rows (with their original row ids) are what a
+        :class:`ModelSnapshot` payload ships to read replicas; a view
+        built from them retrieves with byte-identical ordering.
+        """
+        return [(row_id, node.part_id, node.error_code,
+                 tuple(sorted(node.features)), node.support)
+                for row_id, node in self._items()]
 
     def __repr__(self) -> str:
         return (f"<FrozenKnowledgeView kind={self.feature_kind!r} "
@@ -219,7 +247,17 @@ class FrozenKnowledgeView:
 
 
 class KnowledgeBase:
-    """Deduplicated knowledge nodes with index-backed candidate retrieval."""
+    """Deduplicated knowledge nodes with index-backed candidate retrieval.
+
+    Reads (:meth:`candidates`, :meth:`has_part`, :meth:`nodes`,
+    :meth:`export_rows`) take the published :attr:`view` once per call.
+    Writes go to the table and stage the row ids they touch; the staged
+    rows are read back from the committed table and published as one new
+    view after the enclosing relstore transaction commits, at once for an
+    autocommit write, or on :meth:`publish` for a bulk load.  A rollback
+    publishes nothing.  Writes are single-writer: concurrent writers must
+    be serialized by the caller (the serving gateway's write lock is).
+    """
 
     def __init__(self, feature_kind: str = "features",
                  database: Database | None = None,
@@ -234,59 +272,70 @@ class KnowledgeBase:
             table.create_index(f"ix_{table_name}_features", "features",
                                inverted=True)
         self._table = table
-        # Write-through node cache: every mutation below mirrors the table
-        # change so candidates() never touches Table.get on the hot path.
-        # Mutating the table behind the KnowledgeBase's back (raw inserts
-        # on kb.database) is not supported — go through add/remove.
-        self._cache = NodeCache()
-        # (part_id, error_code, features) -> row id, for dedup on insert
-        self._row_ids: dict[tuple, int] = {}
-        self.reload()
+        self._view = FrozenKnowledgeView(
+            map(self._read_row, list(table.row_ids())), feature_kind)
+        # Row ids written since the last publish, and the rows inserted
+        # since then by dedup key: the writer's own not-yet-published
+        # rows.  Both may name rows a rollback undid; every use checks
+        # the table.
+        self._staged: set[int] = set()
+        self._inserted: dict[tuple, list[int]] = {}
 
-    def reload(self) -> None:
-        """Rebuild the node cache from the backing table.
-
-        The cache is write-through, so it only diverges from the table
-        when the table changes underneath it — the one supported case
-        being a rolled-back transaction that had routed mutations
-        through this knowledge base (the relstore undoes the rows; the
-        cache kept the applied view).  Callers that roll back a
-        transaction covering knowledge writes must call this before the
-        next read.
-        """
-        self._cache = NodeCache()
-        self._row_ids = {}
-        for row_id in list(self._table.row_ids()):
-            row = self._table.get(row_id)
-            node = self._cache.put(row_id, KnowledgeNode(
-                row["part_id"], row["error_code"],
-                frozenset(row["features"]), row["support"]))
-            self._row_ids[node.key] = row_id
+    def _read_row(self, row_id: int) -> KnowledgeRow:
+        row = self._table.get(row_id)
+        return (row_id, row["part_id"], row["error_code"], row["features"],
+                row["support"])
 
     # ------------------------------------------------------------------ #
     # construction
 
-    def add(self, node: KnowledgeNode) -> None:
-        """Insert a node, merging support with an identical configuration."""
-        existing_row = self._row_ids.get(node.key)
-        if existing_row is not None:
-            merged = self._cache.node(existing_row).support + node.support
-            self._table.update(existing_row, {"support": merged})
-            self._cache.set_support(existing_row, merged)
-            return
-        row_id = self._table.insert({
-            "part_id": node.part_id,
-            "error_code": node.error_code,
-            "features": sorted(node.features),
-            "support": node.support,
-        })
-        interned = self._cache.put(row_id, node)
-        self._row_ids[interned.key] = row_id
+    def _find(self, key: tuple, features: list[str]) -> tuple[int, int] | None:
+        """``(row id, support)`` of the row holding dedup *key*, as the
+        calling writer sees the table (its own uncommitted rows
+        included), or ``None``.  *features* is the key's sorted list."""
+        published = self._view.row_id(key)
+        for row_id in (*reversed(self._inserted.get(key, ())), published):
+            if row_id is None:
+                continue
+            try:
+                row = self._table.get(row_id)
+            except QueryError:
+                continue  # deleted, or its insert was rolled back
+            if (row["features"] == features and row["part_id"] == key[0]
+                    and row["error_code"] == key[1]):
+                return row_id, row["support"]
+        return None
+
+    def add(self, node: KnowledgeNode, *, publish: bool = True) -> None:
+        """Insert a node, merging support with an identical configuration.
+
+        ``publish=False`` only stages the row (a bulk load calls
+        :meth:`publish` once at its end).
+        """
+        key = node.key
+        features = sorted(node.features)
+        found = self._find(key, features)
+        if found is not None:
+            row_id, support = found
+            self._table.update(row_id, {"support": support + node.support})
+        else:
+            row_id = self._table.insert({
+                "part_id": node.part_id,
+                "error_code": node.error_code,
+                "features": features,
+                "support": node.support,
+            })
+            self._inserted.setdefault(key, []).append(row_id)
+        self._staged.add(row_id)
+        if publish:
+            self.publish()
 
     def add_observation(self, part_id: str, error_code: str,
-                        features: Iterable[str]) -> None:
+                        features: Iterable[str], *,
+                        publish: bool = True) -> None:
         """Record one classified data instance."""
-        self.add(KnowledgeNode(part_id, error_code, frozenset(features)))
+        self.add(KnowledgeNode(part_id, error_code, frozenset(features)),
+                 publish=publish)
 
     def remove_observation(self, part_id: str, error_code: str,
                            features: Iterable[str]) -> bool:
@@ -298,19 +347,33 @@ class KnowledgeBase:
         node when it reaches zero.  Returns False when no matching node
         exists (nothing to retract).
         """
-        key = (part_id, error_code, frozenset(features))
-        row_id = self._row_ids.get(key)
-        if row_id is None:
+        features = frozenset(features)
+        found = self._find((part_id, error_code, features), sorted(features))
+        if found is None:
             return False
-        support = self._cache.node(row_id).support
+        row_id, support = found
         if support > 1:
             self._table.update(row_id, {"support": support - 1})
-            self._cache.set_support(row_id, support - 1)
         else:
             self._table.delete_row(row_id)
-            self._cache.discard(row_id)
-            del self._row_ids[key]
+        self._staged.add(row_id)
+        self.publish()
         return True
+
+    def publish(self) -> None:
+        """Publish the staged writes as one new :attr:`view`: after the
+        calling thread's transaction commits, or at once outside one."""
+        self._database.on_commit(self._publish_staged)
+
+    def _publish_staged(self) -> None:
+        staged, self._staged, self._inserted = self._staged, set(), {}
+        upserts, removed = [], []
+        for row_id in sorted(staged):
+            try:
+                upserts.append(self._read_row(row_id))
+            except QueryError:
+                removed.append(row_id)
+        self._view = self._view.with_changes(upserts, removed)
 
     @classmethod
     def from_bundles(cls, bundles: Iterable[DataBundle],
@@ -325,7 +388,9 @@ class KnowledgeBase:
             if bundle.error_code is None:
                 continue
             features = extract_training_features(extractor, bundle)
-            base.add_observation(bundle.part_id, bundle.error_code, features)
+            base.add_observation(bundle.part_id, bundle.error_code, features,
+                                 publish=False)
+        base.publish()
         return base
 
     # ------------------------------------------------------------------ #
@@ -340,17 +405,22 @@ class KnowledgeBase:
         """The backing relational database."""
         return self._database
 
+    @property
+    def view(self) -> FrozenKnowledgeView:
+        """The published view: replaced, never mutated, by writes."""
+        return self._view
+
     def nodes(self) -> Iterator[KnowledgeNode]:
-        """Iterate over all nodes (cached; row-id order, like a scan)."""
-        return self._cache.nodes()
+        """Iterate over all published nodes (row-id order, like a scan)."""
+        return self._view.nodes()
 
     def part_ids(self) -> set[str]:
         """All part IDs with at least one node."""
         return {str(value) for value in self._table.distinct("part_id")}
 
     def has_part(self, part_id: str) -> bool:
-        """Whether the base holds any node for *part_id* (cache-backed)."""
-        return self._cache.has_part(part_id)
+        """Whether the published view holds any node for *part_id*."""
+        return self._view.has_part(part_id)
 
     def error_codes(self, part_id: str | None = None) -> set[str]:
         """Error codes known to the base, optionally for one part ID."""
@@ -361,20 +431,9 @@ class KnowledgeBase:
         return {str(v) for v in self._table.distinct("error_code", predicate)}
 
     def export_rows(self) -> list[KnowledgeRow]:
-        """Every node as a plain picklable row, sorted by row id.
-
-        The exported rows (with their original row ids) are what a
-        :class:`ModelSnapshot` payload ships to read replicas;
-        :class:`FrozenKnowledgeView` rebuilds candidate retrieval from
-        them with byte-identical ordering.
-        """
-        rows: list[KnowledgeRow] = []
-        for key, row_id in self._row_ids.items():
-            node = self._cache.node(row_id)
-            rows.append((row_id, node.part_id, node.error_code,
-                         tuple(sorted(node.features)), node.support))
-        rows.sort()
-        return rows
+        """The published view's rows (see
+        :meth:`FrozenKnowledgeView.export_rows`)."""
+        return self._view.export_rows()
 
     def code_frequencies(self, part_id: str) -> dict[str, int]:
         """Support-weighted error-code frequencies for *part_id*.
@@ -401,19 +460,19 @@ class KnowledgeBase:
         unknown to the knowledge base.  Each node comes with the number
         of features it shares with *features*, in row-id order.
 
-        Served from the write-through :class:`NodeCache`: no relstore row
-        is touched, but the returned pairs and their order are identical
-        to :meth:`candidates_from_store`.
+        Served from the published view: no relstore row is touched, but
+        the returned pairs and their order are identical to
+        :meth:`candidates_from_store` on the committed table.
         """
-        return self._cache.candidates(part_id, features)
+        return self._view.candidates(part_id, features)
 
     def candidates_from_store(self, part_id: str,
                               features: frozenset[str] | set[str],
                               ) -> list[Candidate]:
-        """Candidate retrieval straight from the relstore table (no cache).
+        """Candidate retrieval straight from the relstore table (no view).
 
-        The reference implementation the cache is checked against (and the
-        path of record before the cache existed).  Uses the table's
+        The reference implementation the view is checked against (and the
+        path of record before the view existed).  Uses the table's
         indexes when they exist and falls back to full scans when they
         were dropped or the table was supplied without them.  Shared
         counts come from intersecting each row's feature set.

@@ -10,8 +10,8 @@ machine-readable JSON API (``/api/suggest/<ref>``, ``/api/assign``,
 :class:`QuestApp` holds the routes and delegates all logic to the
 serving gateway (:class:`~repro.serve.ServeGateway`) and the pure view
 functions.  The gateway owns queueing, micro-batching, deadlines and
-the store's reader-writer lock; read-only screens take the gateway's
-read guard so a concurrent write can never produce a torn read.
+the write lock; read-only screens pin an MVCC read view of the store so
+a concurrent write can never produce a torn read.
 Overload surfaces as HTTP 503 (queue full / shutdown) and 504 (deadline
 exceeded), and the live counters are served as JSON on ``/stats`` and
 ``/api/stats``.  :meth:`QuestApp.respond` answers one event of the
@@ -145,10 +145,10 @@ class QuestApp:
         parts = urllib.parse.urlsplit(path)
         path, query_string = parts.path, parts.query
         if path == "/" or path == "/bundles":
-            # Read-only screens share the store's read lock (the same
-            # lock suggest batches and writers take) so a concurrent
-            # POST /assign cannot produce a torn bundle list.
-            with self.gateway.read_locked():
+            # Read-only screens pin one committed MVCC snapshot, so a
+            # concurrent POST /assign cannot produce a torn bundle list
+            # (and neither side waits for the other).
+            with self.service.database.read_view():
                 bundles = load_bundles(self.service.database)
             return 200, views.render_bundle_list(bundles)
         if path.startswith("/api/"):
@@ -173,21 +173,21 @@ class QuestApp:
             return 200, views.render_users(self.users.all_users())
         if path == "/search":
             query = urllib.parse.parse_qs(query_string).get("q", [""])[0]
-            with self.gateway.read_locked():
+            with self.service.database.read_view():
                 matches = self.service.search_bundles(query)
             return 200, views.render_bundle_list(matches)
         if path == "/review":
-            with self.gateway.read_locked():
+            with self.service.database.read_view():
                 entries = self.service.pending_reviews()
                 counts = self.service.review_queue.counts()
             return 200, views.render_review(entries, counts)
         if path == "/profiles":
-            with self.gateway.read_locked():
+            with self.service.database.read_view():
                 profiles = part_profiles(self.service.database)
             return 200, views.render_profiles(profiles)
         if path.startswith("/history/"):
             ref_no = urllib.parse.unquote(path[len("/history/"):])
-            with self.gateway.read_locked():
+            with self.service.database.read_view():
                 rows = self.service.assignment_history(ref_no)
             return 200, views.render_history(ref_no, rows)
         return 404, views.render_message("Not found", f"no page {path!r}")
@@ -241,7 +241,7 @@ class QuestApp:
             }
             return 200, json.dumps(payload, sort_keys=True)
         if path == "/api/review":
-            with self.gateway.read_locked():
+            with self.service.database.read_view():
                 entries = self.service.pending_reviews()
                 counts = self.service.review_queue.counts()
             payload = {
@@ -256,7 +256,7 @@ class QuestApp:
             }
             return 200, json.dumps(payload, sort_keys=True)
         if path == "/api/profiles":
-            with self.gateway.read_locked():
+            with self.service.database.read_view():
                 profiles = part_profiles(self.service.database)
             return 200, json.dumps(
                 {"profiles": [profile.to_payload()

@@ -197,8 +197,9 @@ class Database:
 
         Journals the buffered ops first (framed, one fsync), then
         publishes every touched row under a fresh commit sequence
-        number.  If journaling fails the transaction is rolled back so
-        memory never diverges from the durable log.
+        number, then runs the :meth:`on_commit` callbacks.  If
+        journaling fails the transaction is rolled back so memory never
+        diverges from the durable log.
 
         Raises:
             TransactionError: if no transaction is open on this thread.
@@ -221,6 +222,22 @@ class Database:
             self.rollback()
             raise
         self._mvcc.finish_commit(txn)
+        for callback in txn.on_commit:
+            callback()
+
+    def on_commit(self, callback: Callable[[], None]) -> None:
+        """Run *callback* once the calling thread's transaction commits.
+
+        Outside a transaction it runs at once: an autocommit write is
+        committed already.  A callback registered twice in one
+        transaction runs once; a rollback drops them all (a rollback to
+        a savepoint does not).
+        """
+        txn = self._mvcc.current_txn()
+        if txn is None:
+            callback()
+        elif callback not in txn.on_commit:
+            txn.on_commit.append(callback)
 
     def rollback(self) -> None:
         """Undo every change made since :meth:`begin`.
@@ -237,6 +254,7 @@ class Database:
             txn.undo.clear()
             txn.ops.clear()
             txn.savepoints.clear()
+            txn.on_commit.clear()
             self._mvcc.discard(txn)
 
     def _replay_undo(self, entries: list[tuple[Any, ...]]) -> None:

@@ -54,7 +54,7 @@ class Transaction:
     _ids = itertools.count(1)
 
     __slots__ = ("txn_id", "read_csn", "pin_token", "thread_ident",
-                 "undo", "ops", "savepoints", "holds_slot")
+                 "undo", "ops", "savepoints", "holds_slot", "on_commit")
 
     def __init__(self, read_csn: int, pin_token: int,
                  thread_ident: int) -> None:
@@ -71,6 +71,9 @@ class Transaction:
         #: ``(name, undo_len, ops_len)`` marks, oldest first.
         self.savepoints: list[tuple[str, int, int]] = []
         self.holds_slot = False
+        #: Callbacks run once the commit is published (see
+        #: ``Database.on_commit``); a rollback drops them.
+        self.on_commit: list[Callable[[], None]] = []
 
     def record_ddl(self, undo: Callable[[], None]) -> None:
         """Record a catalog-level inverse (create/drop table or index)."""

@@ -3,8 +3,8 @@
 The layer between transports (web app, CLI, load generator) and the QUEST
 service: bounded admission control, dynamic micro-batching over the
 candidate-retrieval cache, a fixed worker pool with deadlines and degraded
-fallback, an atomically swappable model registry with a reader-writer lock
-around relstore mutations, and serving statistics.  See docs/serving.md.
+fallback, an atomically swappable model registry, one write lock around
+relstore transactions, and serving statistics.  See docs/serving.md.
 """
 
 from .errors import (DeadlineExceededError, GatewayStoppedError,
@@ -12,7 +12,6 @@ from .errors import (DeadlineExceededError, GatewayStoppedError,
                      SnapshotPayloadError)
 from .gateway import DrainReport, GatewayConfig, ServeGateway
 from .httpclient import ClientResponse, HTTPClientError, PooledHTTPClient
-from .locks import RWLock
 from .queue import RequestQueue, SuggestRequest
 from .registry import (PAYLOAD_RETENTION, ModelRegistry, ModelSnapshot,
                        apply_payload_delta, diff_payloads)
@@ -47,7 +46,6 @@ __all__ = [
     "QueueFullError",
     "REPLICATION_INTERVAL",
     "REPLICATION_TIMEOUT",
-    "RWLock",
     "ReplicaWriteError",
     "RequestQueue",
     "ServeError",

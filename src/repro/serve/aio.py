@@ -16,12 +16,12 @@ objects and nothing else.
 The division of labour:
 
 * **Reads run on the loop.**  GET routes are served inline from the
-  immutable :class:`~repro.serve.registry.ModelSnapshot` through
-  ``gateway.read_locked()`` / relstore ``read_view()`` — microseconds of
-  pure-Python work, no blocking, no thread hop.
+  immutable :class:`~repro.serve.registry.ModelSnapshot` and relstore
+  ``read_view()`` snapshots — microseconds of pure-Python work, no
+  blocking, no thread hop.
 * **Classification and writes go to an executor.**  Suggest GETs
   (``/bundle/…``, ``/api/suggest/…``) wait on the gateway's batcher
-  threads and every POST may wait on the store's write lock, so they are
+  threads and every POST may wait on the gateway's write lock, so they are
   handed off via ``loop.run_in_executor``.  The executor has a thread for
   every request the gateway can hold, plus one, so a request past the
   gateway's bound reaches its admission control (and its 503) at once

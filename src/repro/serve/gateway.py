@@ -16,12 +16,14 @@ and :class:`~repro.quest.service.QuestService`:
    one retry on a worker fault, then the degraded-suggest chain
    (stored -> fallback classifier -> frequency baseline).
 4. **Model registry + MVCC** — workers serve from an immutable
-   :class:`~repro.serve.registry.ModelSnapshot`; relstore reads (bundle
-   loads, code lists, stored suggestions, read-only screens) pin an MVCC
-   read view so they see one committed snapshot without blocking writers
-   or being blocked by them.  Writes run as relstore transactions under
-   the registry's write lock — a failed service call rolls back atomically
-   — and re-version the snapshot, which invalidates the gateway's memos.
+   :class:`~repro.serve.registry.ModelSnapshot` and take no lock:
+   relstore reads (bundle loads, code lists, stored suggestions) pin an
+   MVCC read view, and classification reads the knowledge base's
+   published immutable view.  Writes run one at a time, each as one
+   relstore transaction under the gateway's write lock: a failed service
+   call rolls back atomically and publishes nothing, a committed one
+   publishes a new knowledge view, and the snapshot is then re-versioned,
+   which invalidates the gateway's memos.
 5. **Stats** — every outcome lands in :class:`~repro.serve.stats.ServeStats`
    (exposed on the web app's ``/stats`` and in bench output).
 """
@@ -112,6 +114,11 @@ class ServeGateway:
         self._stopped = False
         self._inflight = 0
         self._inflight_lock = threading.Lock()
+        # Serializes whole write-path service calls: their
+        # read-compute-write sequences assume one writer at a time, which
+        # snapshot isolation alone does not give (write skew; see
+        # docs/transactions.md).
+        self._write_lock = threading.Lock()
         # Per-snapshot memos (all guarded by _memo_lock): bundles,
         # extracted features, per-part code lists and healthy
         # recommendations survive across batches until a write installs a
@@ -146,57 +153,12 @@ class ServeGateway:
         return self._stopped
 
     @contextmanager
-    def read_locked(self):
-        """A stable committed view of the service's store.
-
-        Read-only screens that bypass the suggest queue (bundle list,
-        search, assignment history) used to share the writer-preferring
-        RWLock with the write paths; they now pin an MVCC read view
-        (:meth:`~repro.relstore.database.Database.read_view`) instead —
-        every row they see comes from one committed snapshot, a
-        concurrent ``assign`` can neither hand them a torn row set *nor
-        make them wait*, and writers no longer stall behind slow
-        screens.  Reentrant per thread; the name survives from the lock
-        era because transports treat it as an opaque read guard.
-        """
-        with self.service.database.read_view():
-            yield
-
-    @contextmanager
     def _write_txn(self):
-        """The gateway write-path guard: write lock + MVCC transaction.
-
-        The registry's write lock still serializes whole *service calls*
-        (their read-compute-write sequences assume no concurrent writer,
-        and the knowledge base's write-through node cache is unversioned);
-        the transaction underneath makes the relstore half atomic — a
-        service call that fails mid-way rolls back every row it touched
-        instead of leaving partial writes.  A rollback also resyncs the
-        knowledge caches, which keep the applied view while the relstore
-        reverts (see :meth:`~repro.knowledge.base.KnowledgeBase.reload`).
-        """
-        with self.registry.store_lock.write_locked():
-            try:
-                with self.service.database.transaction():
-                    yield
-            except BaseException:
-                self._resync_knowledge_caches()
-                raise
-
-    def _resync_knowledge_caches(self) -> None:
-        """Rebuild write-through knowledge caches after a rollback, for
-        every model whose knowledge base lives in the service's database
-        (a knowledge base on its own database never rolled back)."""
-        for classifier in (self.service.classifier,
-                           self.service.fallback_classifier):
-            if classifier is None:
-                continue
-            knowledge = classifier.knowledge_base
-            reload = getattr(knowledge, "reload", None)
-            if (reload is not None
-                    and getattr(knowledge, "database", None)
-                    is self.service.database):
-                reload()
+        """The write lock around one relstore transaction: a service call
+        that fails mid-way rolls back every row it touched, and one that
+        commits has published its knowledge-base writes on exit."""
+        with self._write_lock, self.service.database.transaction():
+            yield
 
     def start(self) -> None:
         """Spawn the worker pool (idempotent; also called lazily)."""
@@ -367,18 +329,10 @@ class ServeGateway:
     # replication (primary side)
 
     def _export_payload(self) -> dict:
-        """Export the current snapshot from a committed MVCC version.
-
-        The read view pins the relstore rows the export reads; the lock's
-        read side is still taken around the model walk because the
-        knowledge base's node cache is write-through and unversioned — a
-        concurrent writer could otherwise mutate it mid-export.  Exports
-        happen only when a replica polls, off the request path, so holding
-        the read side here never stalls serving reads.
-        """
-        with self.service.database.read_view():
-            with self.registry.store_lock.read_locked():
-                return self.registry.current().to_payload()
+        """Export the current snapshot.  Its knowledge rows come from the
+        published views, which a concurrent writer replaces but never
+        mutates, so the export needs no lock."""
+        return self.registry.current().to_payload()
 
     def replication_payload(self, base_version: int | None) -> dict:
         """Answer one replica poll: a delta against *base_version* when
@@ -471,8 +425,7 @@ class ServeGateway:
         bundles, features, codes, persist_views = {}, {}, {}, []
         # Bundle loads are pure relstore reads: a pinned read view gives
         # the whole batch one committed snapshot without making a
-        # concurrent writer wait (or waiting on one), where the old
-        # RWLock read side did both.
+        # concurrent writer wait (or waiting on one).
         with self.service.database.read_view():
             for request in live:
                 ref = request.ref_no
@@ -588,12 +541,8 @@ class ServeGateway:
         if feats is None:
             feats = self._extract_features(snapshot, bundle)
             features[bundle.ref_no] = feats
-        # Classification walks the knowledge base's write-through node
-        # cache, which is not MVCC-versioned — the lock's read side stays
-        # here (only) to exclude a writer mutating that cache mid-walk.
-        with self.registry.store_lock.read_locked():
-            return snapshot.classifier.rank_codes(bundle.part_id, feats,
-                                                  ref_no=bundle.ref_no)
+        return snapshot.classifier.rank_codes(bundle.part_id, feats,
+                                              ref_no=bundle.ref_no)
 
     def _degraded_one(self, snapshot: ModelSnapshot, bundle: DataBundle,
                       cause: Exception):
@@ -605,9 +554,8 @@ class ServeGateway:
             return stored, "stored"
         if snapshot.fallback_classifier is not None:
             try:
-                with self.registry.store_lock.read_locked():
-                    return (snapshot.fallback_classifier.classify_bundle(
-                        bundle.without_label()), "fallback")
+                return (snapshot.fallback_classifier.classify_bundle(
+                    bundle.without_label()), "fallback")
             except Exception:
                 pass  # fall through to the frequency baseline
         try:

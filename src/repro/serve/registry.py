@@ -1,4 +1,4 @@
-"""The model registry: versioned classifier snapshots + the store lock.
+"""The model registry: versioned classifier snapshots.
 
 Serving reads (classification) and knowledge-base writes (assignments,
 custom codes) meet here:
@@ -10,17 +10,14 @@ custom codes) meet here:
   cannot tear a request across two model generations.
 * :meth:`ModelRegistry.swap` atomically replaces the snapshot (e.g. after
   an offline retrain), and :meth:`ModelRegistry.bump` re-stamps the
-  current models after an in-place knowledge-base update, invalidating
+  current models after a committed knowledge-base write, invalidating
   every version-keyed cache downstream.
-* ``registry.store_lock`` is the reader-writer lock serializing *model*
-  access.  Since the relstore grew MVCC snapshot isolation, plain row
-  reads no longer take the read side — they pin a committed read view
-  (``Database.read_view()``) and never block.  The write side still
-  serializes whole service calls (their read-compute-write sequences
-  assume one writer at a time), and the read side survives only around
-  walks of the knowledge base's write-through node cache — the one
-  shared structure MVCC does not version (classification, payload
-  exports).
+
+Nothing here locks a reader.  Relstore rows are read through MVCC read
+views, and a classifier's knowledge base answers from an immutable
+:class:`~repro.knowledge.base.FrozenKnowledgeView` that a committed
+write replaces (never mutates), so a snapshot's models can be walked
+while a writer commits.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from ..classify.knn import RankedKnnClassifier
 from ..classify.similarity import SIMILARITIES
 from ..knowledge.base import FrozenKnowledgeView
 from .errors import SnapshotPayloadError
-from .locks import RWLock
 
 #: Version tag of the snapshot payload wire format.
 PAYLOAD_FORMAT = 1
@@ -205,10 +201,11 @@ def apply_payload_delta(base: dict, delta: dict) -> dict:
 class ModelSnapshot:
     """An immutable serving view of the models (see module docstring).
 
-    The snapshot object itself never changes; the *models* it points at
-    are only mutated under the registry's write lock, and any such
-    mutation must be followed by :meth:`ModelRegistry.bump` so readers'
-    caches drop stale derived data.
+    The snapshot object itself never changes.  The knowledge base its
+    classifier points at publishes a new immutable view per committed
+    write, so a reader sees each write whole or not at all.  Any such
+    write must be followed by :meth:`ModelRegistry.bump` so readers'
+    version-keyed caches drop stale derived data.
     """
 
     version: int
@@ -273,15 +270,12 @@ class ModelSnapshot:
 
 
 class ModelRegistry:
-    """Atomic snapshot holder + the relstore reader-writer lock."""
+    """Atomic snapshot holder + the retained replication payloads."""
 
     def __init__(self, snapshot: ModelSnapshot, *,
                  retain_payloads: int = PAYLOAD_RETENTION) -> None:
         self._snapshot = snapshot
         self._swap_lock = threading.Lock()
-        #: Reader-writer lock around the relstore-backed state; see module
-        #: docstring.  Shared by every transport that mutates the store.
-        self.store_lock = RWLock()
         # Recently exported full payloads by version (bounded LRU).  The
         # replication endpoint diffs the current export against whichever
         # of these a replica reports as its base, so deltas are always
@@ -390,8 +384,8 @@ class ModelRegistry:
             return tuple(self._payloads)
 
     def bump(self, overrides=_UNSET) -> ModelSnapshot:
-        """Re-version the current snapshot after an in-place model update
-        (e.g. the knowledge base learned from a confirmed assignment).
+        """Re-version the current snapshot after a model update (e.g. the
+        knowledge base learned from a confirmed assignment).
         Version-keyed caches treat this exactly like a swap.  *overrides*
         replaces the snapshot's override map when given — write paths
         that pin/supersede overrides pass the store's fresh active map."""

@@ -6,9 +6,11 @@ table (``candidates_from_store``), every candidate scored from its own
 ``len(features & node.features)``, one full stable ``sorted`` by (score
 desc, error code, support desc) — so equal keys keep their row order —
 then the codes of the best ``node_cutoff`` nodes aggregated per code
-(Fig. 7).  Every optimized path (``NodeCache`` counting retrieval, the
-tuple-keyed top-k selection, the frozen snapshot view) must reproduce it
-on every held-out bundle, node for node and code for code.
+(Fig. 7).  Every optimized path (the knowledge base's published
+``FrozenKnowledgeView`` with its counting retrieval, the tuple-keyed
+top-k selection, a view rebuilt from exported rows or derived by
+``with_changes``) must reproduce it on every held-out bundle, node for
+node and code for code.
 """
 
 import pytest
@@ -112,6 +114,20 @@ def test_frozen_view_equals_reference(trained, similarity):
     view = FrozenKnowledgeView(knowledge_base.export_rows(),
                                knowledge_base.feature_kind)
     classifier = RankedKnnClassifier(view, extractor, SCORERS[similarity])
+    assert_matches_reference(classifier, knowledge_base, queries)
+
+
+def test_derived_view_equals_reference(trained):
+    """A view grown by ``with_changes`` (half the rows upserted, a few
+    removed and put back) answers like the live base."""
+    extractor, knowledge_base, queries = trained
+    rows = knowledge_base.export_rows()
+    half = len(rows) // 2
+    view = FrozenKnowledgeView(rows[:half], knowledge_base.feature_kind)
+    view = view.with_changes(rows[half:], removed=[row[0]
+                                                   for row in rows[:9]])
+    view = view.with_changes(rows[:9])
+    classifier = RankedKnnClassifier(view, extractor, shares_any)
     assert_matches_reference(classifier, knowledge_base, queries)
 
 

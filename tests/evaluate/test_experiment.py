@@ -85,13 +85,17 @@ class TestRunExperiment:
 
     def test_concepts_faster_than_words(self, small_bundles, taxonomy,
                                         annotator):
-        words = run_experiment(small_bundles,
-                               ExperimentConfig(feature_mode="words", folds=2),
-                               taxonomy, annotator)
-        concepts = run_experiment(
-            small_bundles, ExperimentConfig(feature_mode="concepts", folds=2),
-            taxonomy, annotator)
-        assert concepts.seconds_per_bundle < words.seconds_per_bundle
+        # Three interleaved runs per mode, compared by their fastest: a
+        # burst of CPU contention slows one run, not every run of a mode.
+        seconds = {"words": [], "concepts": []}
+        for _ in range(3):
+            for mode, runs in seconds.items():
+                result = run_experiment(
+                    small_bundles, ExperimentConfig(feature_mode=mode,
+                                                    folds=2),
+                    taxonomy, annotator)
+                runs.append(result.seconds_per_bundle)
+        assert min(seconds["concepts"]) < min(seconds["words"])
 
     def test_concepts_do_less_scoring_work(self, small_bundles, taxonomy,
                                            annotator):

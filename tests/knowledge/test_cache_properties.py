@@ -1,9 +1,9 @@
-"""Property-based equivalence of the NodeCache and the relstore path.
+"""Property-based equivalence of the published view and the relstore path.
 
-The cache is only allowed to make candidate retrieval faster, never
+The view is only allowed to make candidate retrieval faster, never
 different: after any sequence of observations and retractions,
-``KnowledgeBase.candidates`` (cache) must return the same nodes with the
-same shared-feature counts in the same order as
+``KnowledgeBase.candidates`` (the published view) must return the same
+nodes with the same shared-feature counts in the same order as
 ``KnowledgeBase.candidates_from_store`` (relstore indexes / full scan).
 """
 

@@ -122,6 +122,34 @@ class TestTransactions:
         assert db.table("codes").get(row_id)["n"] == 1
         assert db.table("codes").count() == 1
 
+    def test_on_commit_runs_after_the_commit_once(self, db):
+        seen = []
+
+        def callback():
+            seen.append((db.in_transaction, db.table("codes").count()))
+
+        with db.transaction():
+            db.insert("codes", {"code": "E1", "part_id": "P1", "n": 1})
+            db.on_commit(callback)
+            db.on_commit(callback)
+            assert seen == []
+        assert seen == [(False, 1)]
+
+    def test_on_commit_outside_a_transaction_runs_at_once(self, db):
+        seen = []
+        db.on_commit(lambda: seen.append(db.in_transaction))
+        assert seen == [False]
+
+    def test_rollback_drops_on_commit_callbacks(self, db):
+        seen = []
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.on_commit(lambda: seen.append("first"))
+                raise RuntimeError("boom")
+        with db.transaction():
+            db.on_commit(lambda: seen.append("second"))
+        assert seen == ["second"]
+
     def test_insert_many(self, db):
         db.insert_many("codes", [{"code": "E1", "part_id": "P1", "n": 1},
                                  {"code": "E2", "part_id": "P1", "n": 2}])

@@ -1,12 +1,10 @@
-"""ModelRegistry snapshot swaps and the reader-writer lock."""
+"""ModelRegistry snapshot swaps, bumps and retained payloads."""
 
 import threading
-import time
 
 import pytest
 
-from repro.serve import (ModelRegistry, ModelSnapshot, RWLock,
-                         SnapshotPayloadError)
+from repro.serve import ModelRegistry, ModelSnapshot, SnapshotPayloadError
 
 
 def snapshot(version=1, classifier="clf", baseline="freq", fallback=None):
@@ -102,101 +100,3 @@ class TestModelRegistry:
         for thread in threads:
             thread.join()
         assert not seen_torn
-
-
-class TestRWLock:
-    def test_many_readers_share(self):
-        lock = RWLock()
-        inside = []
-        barrier = threading.Barrier(4)
-
-        def reader():
-            with lock.read_locked():
-                barrier.wait(timeout=5)  # all 4 readers in simultaneously
-                inside.append(1)
-
-        threads = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(inside) == 4
-
-    def test_writer_excludes_readers_and_writers(self):
-        lock = RWLock()
-        order = []
-
-        def writer():
-            with lock.write_locked():
-                order.append("w-in")
-                time.sleep(0.05)
-                order.append("w-out")
-
-        def reader():
-            time.sleep(0.01)  # let the writer in first
-            with lock.read_locked():
-                order.append("r")
-
-        writer_thread = threading.Thread(target=writer)
-        reader_thread = threading.Thread(target=reader)
-        writer_thread.start()
-        reader_thread.start()
-        writer_thread.join()
-        reader_thread.join()
-        assert order == ["w-in", "w-out", "r"]
-
-    def test_writer_preference_blocks_new_readers(self):
-        lock = RWLock()
-        lock.acquire_read()
-        writer_waiting = threading.Event()
-        writer_done = threading.Event()
-
-        def writer():
-            writer_waiting.set()
-            with lock.write_locked():
-                writer_done.set()
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        writer_waiting.wait(timeout=5)
-        time.sleep(0.02)  # writer is now queued on the lock
-        # a *new* reader must wait behind the queued writer
-        assert lock.acquire_read(timeout=0.05) is False
-        lock.release_read()  # the original reader leaves; writer proceeds
-        assert writer_done.wait(timeout=5)
-        thread.join()
-        # after the writer released, readers get in again
-        assert lock.acquire_read(timeout=1)
-        lock.release_read()
-
-    def test_acquire_write_timeout(self):
-        lock = RWLock()
-        lock.acquire_read()
-        assert lock.acquire_write(timeout=0.05) is False
-        lock.release_read()
-        assert lock.acquire_write(timeout=1)
-        lock.release_write()
-
-    def test_release_without_acquire_raises(self):
-        lock = RWLock()
-        with pytest.raises(RuntimeError):
-            lock.release_read()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
-
-    def test_mutual_exclusion_under_contention(self):
-        lock = RWLock()
-        counter = {"value": 0}
-
-        def writer():
-            for _ in range(200):
-                with lock.write_locked():
-                    current = counter["value"]
-                    counter["value"] = current + 1
-
-        threads = [threading.Thread(target=writer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter["value"] == 800

@@ -60,18 +60,15 @@ REQUIRED = {
     "plain_suggest_rps": ((int, float), 0.0),
     "confidence_suggest_rps": ((int, float), 0.0),
     "confidence_overhead_pct": ((int, float), -100.0),
-    # MVCC phase (A11: relstore readers under a committing writer,
-    # snapshot read views vs the pre-MVCC reader-writer lock)
+    # MVCC phase (A11: relstore snapshot readers, idle and under a
+    # committing writer)
     "mvcc_reads": (int, 1),
     "mvcc_readers": (int, 1),
     "mvcc_reader_rps_idle": ((int, float), 0.0),
     "mvcc_reader_rps_writer": ((int, float), 0.0),
-    "rwlock_reader_rps_writer": ((int, float), 0.0),
     "mvcc_idle_p95_ms": ((int, float), 0.0),
     "mvcc_writer_p95_ms": ((int, float), 0.0),
-    "rwlock_writer_p95_ms": ((int, float), 0.0),
     "mvcc_p95_ratio": ((int, float), 0.0),
-    "mvcc_vs_rwlock_speedup": ((int, float), 0.0),
     # C10k phase (A12: idle keep-alive connection scale, event-loop vs
     # threaded transport); the async server must have sustained >= 1024
     # idle connections for the payload to validate.
@@ -87,7 +84,6 @@ _PERCENTILE_KEYS = ("p50_ms", "p95_ms", "p99_ms",
                     "per_request_p95_ms", "keepalive_p95_ms",
                     "replica_write_visibility_seconds",
                     "mvcc_idle_p95_ms", "mvcc_writer_p95_ms",
-                    "rwlock_writer_p95_ms",
                     "aio_read_p95_ms", "threaded_read_p95_ms")
 
 #: The keep-alive transport floor (mirrors bench A8's assertion; the
@@ -103,10 +99,9 @@ REPLICATION_FLOOR_PER_NODE = 0.6
 #: suggest, in percent (mirrors bench_serving.py's assertion).
 CONFIDENCE_OVERHEAD_CEILING_PCT = 10.0
 
-#: A11's floors (mirror bench_serving.py); checked only when the
-#: payload claims they were enforced on its host (multi-core).
+#: A11's ceiling (mirrors bench_serving.py); checked only when the
+#: payload claims it was enforced on its host (multi-core).
 MVCC_P95_DEGRADATION_CEILING = 1.5
-MVCC_RWLOCK_SPEEDUP_FLOOR = 1.5
 
 #: A12's ceiling on async read p95 at 1024 idle connections relative to
 #: threaded at 64 (mirrors bench_serving.py); checked only when the
@@ -180,14 +175,6 @@ def check(path: Path) -> list[str]:
             problems.append(
                 f"{path}: mvcc_p95_ratio {p95_ratio!r} above the "
                 f"{MVCC_P95_DEGRADATION_CEILING}x ceiling claimed "
-                f"enforced on this host")
-        mvcc_speedup = payload.get("mvcc_vs_rwlock_speedup")
-        if (isinstance(mvcc_speedup, (int, float))
-                and not isinstance(mvcc_speedup, bool)
-                and mvcc_speedup < MVCC_RWLOCK_SPEEDUP_FLOOR):
-            problems.append(
-                f"{path}: mvcc_vs_rwlock_speedup {mvcc_speedup!r} below "
-                f"the {MVCC_RWLOCK_SPEEDUP_FLOOR}x floor claimed "
                 f"enforced on this host")
     if payload.get("aio_floor_enforced"):
         aio_ratio = payload.get("aio_vs_threaded_p95_ratio")
