@@ -31,9 +31,11 @@ test-serve:
 # Byte-identical ranked lists: in-process vs gateway vs replica across
 # 5 seeds, the ranked kNN classifier (counting retrieval, top-k
 # selection, frozen view) against the reference Fig. 5/7 transcription,
-# and bag-of-concepts extraction against the offset-keeping matcher.
+# bag-of-concepts extraction against the offset-keeping matcher, and the
+# Fig. 8 UIMA pipeline (tokenizer engine, CAS features) against the
+# extractor in all four feature modes.
 test-parity:
-	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py tests/taxonomy/test_concept_oracle.py -q
+	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py tests/taxonomy/test_concept_oracle.py "tests/core/test_qatk.py::TestPipelineMatchesExtractor" -q
 
 # The HTTP transport on its own: webapp routes, the sans-IO HTTP/1.1
 # core, keep-alive wire behavior, and the pooled client.

@@ -23,7 +23,6 @@ from ..relstore import Database
 from ..taxonomy.annotator import ConceptAnnotator
 from ..taxonomy.builder import build_taxonomy
 from ..taxonomy.model import Taxonomy
-from ..text.language import LanguageDetector
 from ..text.tokenizer import WhitespaceTokenizer
 from ..uima import AnalysisEngine, Pipeline
 from .cas_io import BundleReader, bundle_to_cas
@@ -80,11 +79,14 @@ class QATK:
     def analysis_engines(self) -> list[AnalysisEngine]:
         """Step 2 of Fig. 8: unstructured-data analytics engines.
 
-        The concept annotator runs only when concepts are the features:
-        no other feature mode reads its ``ConceptMention`` annotations.
+        Only engines whose output is read run: the concept annotator only
+        when concepts are the features (no other feature mode reads its
+        ``ConceptMention`` annotations), and no language detector, since
+        no stage reads ``Language`` annotations.  A caller who wants
+        language labels passes :class:`~repro.text.LanguageDetector` in
+        :attr:`QatkConfig.extra_engines`.
         """
-        engines: list[AnalysisEngine] = [WhitespaceTokenizer(),
-                                         LanguageDetector()]
+        engines: list[AnalysisEngine] = [WhitespaceTokenizer()]
         if self.config.feature_mode == "concepts":
             engines.append(self.annotator)
         engines.extend(self.config.extra_engines)

@@ -44,16 +44,18 @@ def word_features(tokens: Iterable[str], kind: str) -> frozenset[str]:
     *kind* is a :class:`BagOfWordsExtractor` name: a ``nostop`` part
     drops stopwords, a ``stem`` part stems the remaining tokens.  The
     extractor and the UIMA pipeline (which reads ``Token`` annotations)
-    both derive their features here, so they agree in every mode.
+    both derive their features here, so they agree in every mode.  Both
+    steps map one token to one result, so they run on the distinct tokens.
     """
+    features = frozenset(tokens)
     options = kind.split("-")
     if "nostop" in options:
-        tokens = [token for token in tokens
-                  if token.lower() not in ALL_STOPWORDS]
+        features = frozenset([token for token in features
+                              if token.lower() not in ALL_STOPWORDS])
     if "stem" in options:
         from ..text.stem import stem as stem_word
-        tokens = [stem_word(token) for token in tokens]
-    return frozenset(tokens)
+        features = frozenset([stem_word(token) for token in features])
+    return features
 
 
 class BagOfWordsExtractor:

@@ -9,8 +9,10 @@ language of a text span from two cheap, training-free signals:
 
 This is deliberately simple — the paper's approach "primarily relies on
 natural language processing steps which are language-independent", and the
-detector only feeds metadata (and the legacy annotator emulation, which is
-primary-language-bound).
+detector only feeds metadata.  No stage of the QATK pipeline reads that
+metadata, so :class:`LanguageDetector` is not among its default engines: a
+caller who wants language labels passes it in
+``QatkConfig(extra_engines=[LanguageDetector()])``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..uima import CAS, AnalysisEngine
+from ..uima import CAS, AnalysisEngine, Annotation
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:[-'][^\W_]+)*", re.UNICODE)
 #: The same pattern for ASCII text, where ``[^\W_]`` is ``[A-Za-z0-9]``;
@@ -49,6 +49,10 @@ def tokenize(text: str) -> list[str]:
 class WhitespaceTokenizer(AnalysisEngine):
     """Analysis engine adding a ``Token`` annotation per token.
 
+    The tokens arrive in text order, so they go into the CAS in one
+    :meth:`~repro.uima.CAS.add_sorted` call rather than one validated
+    :meth:`~repro.uima.CAS.add` each.
+
     Parameters:
         lowercase: store a lowercased form in the ``normalized`` feature
             (default True; matching in later steps is case-insensitive).
@@ -60,8 +64,9 @@ class WhitespaceTokenizer(AnalysisEngine):
         self._lowercase = bool(self.params.get("lowercase", True))
 
     def process(self, cas: CAS) -> None:
-        lowercase = self._lowercase
-        for match in _TOKEN_RE.finditer(cas.document_text):
-            text = match.group()
-            cas.annotate("Token", match.start(), match.end(),
-                         normalized=text.lower() if lowercase else text)
+        text = cas.document_text
+        pattern = _ASCII_TOKEN_RE if text.isascii() else _TOKEN_RE
+        normalize = str.lower if self._lowercase else str
+        cas.add_sorted([Annotation("Token", match.start(), match.end(),
+                                   {"normalized": normalize(match.group())})
+                        for match in pattern.finditer(text)])

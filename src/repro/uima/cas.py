@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import AnnotationError, TypeSystemError
 
@@ -27,8 +27,9 @@ class TypeDescriptor:
     features: frozenset[str] = frozenset()
     description: str = ""
 
-    def validate_features(self, features: Mapping[str, Any]) -> None:
-        """Raise if *features* uses an undeclared feature name."""
+    def validate_features(self, features: Iterable[str]) -> None:
+        """Raise if *features* (a feature mapping or a collection of feature
+        names) uses an undeclared feature name."""
         undeclared = set(features) - self.features
         if undeclared:
             raise TypeSystemError(
@@ -188,6 +189,60 @@ class CAS:
         keys.insert(position, annotation.span)
         bucket.insert(position, annotation)
         return annotation
+
+    def add_sorted(self, annotations: Sequence[Annotation]) -> None:
+        """Append annotations of one type that arrive in (begin, end) order.
+
+        The bulk form of :meth:`add` for an engine that emits its
+        annotations in text order (the tokenizer): the type and the
+        feature names are checked once per call, the order and the
+        document bounds in one pass, and a batch that starts at or after
+        the last annotation of its type is appended without a search.
+        A batch that would interleave with existing annotations of its
+        type is inserted one by one, as repeated :meth:`add` calls would
+        place it.  Nothing is added when the batch is refused.
+
+        Raises:
+            TypeSystemError: undeclared type or feature, or annotations
+                of more than one type.
+            AnnotationError: a span outside the document text, or a
+                batch not in (begin, end) order.
+        """
+        if not annotations:
+            return
+        type_name = annotations[0].type_name
+        descriptor = self.type_system.get(type_name)
+        limit = len(self._document_text)
+        keys: list[tuple[int, int]] = []
+        previous = (0, 0)
+        for annotation in annotations:
+            key = (annotation.begin, annotation.end)
+            if annotation.type_name != type_name:
+                raise TypeSystemError(
+                    f"one batch holds types {type_name!r} and "
+                    f"{annotation.type_name!r}")
+            if key[1] > limit:
+                raise AnnotationError(
+                    f"span [{key[0]}, {key[1]}) exceeds document length "
+                    f"{limit}")
+            if key < previous:
+                raise AnnotationError(
+                    f"span [{key[0]}, {key[1]}) follows "
+                    f"[{previous[0]}, {previous[1]}): batch not in text order")
+            keys.append(key)
+            previous = key
+        descriptor.validate_features(
+            set().union(*[annotation.features for annotation in annotations]))
+        bucket = self._annotations.setdefault(type_name, [])
+        existing = self._sort_keys.setdefault(type_name, [])
+        if not existing or existing[-1] <= keys[0]:
+            existing.extend(keys)
+            bucket.extend(annotations)
+            return
+        for key, annotation in zip(keys, annotations):
+            position = bisect.bisect_right(existing, key)
+            existing.insert(position, key)
+            bucket.insert(position, annotation)
 
     def annotate(self, type_name: str, begin: int, end: int,
                  **features: Any) -> Annotation:

@@ -8,6 +8,7 @@ from repro.core import (QATK, QatkConfig, RECOMMENDATION_KEY,
 from repro.data import GeneratorConfig, generate_corpus, plan_corpus
 from repro.evaluate import experiment_subset
 from repro.relstore import Database
+from repro.text import ENGLISH, GERMAN, UNKNOWN, LanguageDetector
 from repro.uima import CAS, FunctionEngine
 
 SMALL = {
@@ -127,6 +128,13 @@ class TestPipelineMatchesExtractor:
             assert "tokenizer" in names
             assert ("concept-annotator" in names) == (mode == "concepts")
 
+    @pytest.mark.parametrize("mode", ["words", "words-nostop", "words-stem",
+                                      "concepts"])
+    def test_no_language_detector_by_default(self, taxonomy, mode):
+        qatk = QATK(taxonomy, QatkConfig(feature_mode=mode))
+        assert not any(isinstance(engine, LanguageDetector)
+                       for engine in qatk.analysis_engines())
+
 
 class TestExtensionPoint:
     def test_custom_classifier_plugs_in(self):
@@ -154,6 +162,21 @@ class TestExtensionPoint:
         cas = bundle_to_cas(train[0])
         qatk.classification_pipeline([]).process_one(cas)
         assert cas.metadata["extra_ran"]
+
+    def test_language_detector_is_opt_in(self, taxonomy, split):
+        train, test = split
+        seen = []
+        spy = FunctionEngine(lambda cas: seen.append(dict(cas.metadata)),
+                             name="spy")
+        qatk = QATK(taxonomy, QatkConfig(
+            feature_mode="words", extra_engines=[LanguageDetector(), spy]))
+        qatk.train(train[:60])
+        seen.clear()
+        recommendation = qatk.classify(test[0].without_label())
+        assert recommendation.ref_no == test[0].ref_no
+        [metadata] = seen
+        assert metadata["language"] in {GERMAN, ENGLISH, UNKNOWN}
+        assert 0.0 <= metadata["language_confidence"] <= 1.0
 
 
 class TestCasFeatures:

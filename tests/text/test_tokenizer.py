@@ -1,5 +1,9 @@
 """Unit tests for tokenization."""
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.text import TokenSpan, WhitespaceTokenizer, token_spans, tokenize
 from repro.uima import CAS
 
@@ -58,3 +62,38 @@ class TestTokenizerEngine:
         cas = CAS("Radio")
         WhitespaceTokenizer(lowercase=False).process(cas)
         assert cas.select("Token")[0].features["normalized"] == "Radio"
+
+
+class TestTokenizerEngineEqualsTokenize:
+    """The engine's ``Token`` annotations are exactly ``tokenize``'s tokens,
+    at the offsets ``token_spans`` (the Unicode pattern on any text) finds."""
+
+    @staticmethod
+    def engine_tokens(text, lowercase=True):
+        cas = CAS(text)
+        WhitespaceTokenizer(lowercase=lowercase).process(cas)
+        tokens = cas.select("Token")
+        assert [t.span for t in tokens] == [
+            (span.begin, span.end) for span in token_spans(text)]
+        assert [t.features["normalized"] for t in tokens] == [
+            cas.covered_text(t).lower() if lowercase else cas.covered_text(t)
+            for t in tokens]
+        return [cas.covered_text(t) for t in tokens]
+
+    @pytest.mark.parametrize("text", [
+        "Radio turns off, id test 470 xA12.",
+        "doesn't work: Kabel-Bruch near a_b -x- 12-34",
+        "Lüfter funktioniert nicht, Kabel-Bruch am Stecker",
+        "Spaß: doesn't start, Öl_Druck 3,5 bar; Straße--Kühler",
+        "",
+    ])
+    def test_examples(self, text):
+        assert self.engine_tokens(text) == tokenize(text)
+        assert self.engine_tokens(text, lowercase=False) == tokenize(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(st.sampled_from("aZ09äöüÄß-'_ .,\n"),
+                             st.characters())))
+    @example("Kabel-Bruch doesn't 4_2 Über")
+    def test_random_text(self, text):
+        assert self.engine_tokens(text) == tokenize(text)

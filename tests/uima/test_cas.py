@@ -1,6 +1,8 @@
 """Unit tests for the CAS and type system."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.uima import (CAS, Annotation, AnnotationError, TypeDescriptor,
                         TypeSystem, TypeSystemError, default_type_system)
@@ -147,3 +149,89 @@ class TestCAS:
         cas = CAS("x")
         cas.metadata["part_id"] = "P1"
         assert cas.metadata["part_id"] == "P1"
+
+
+TEXT = "the fan is broken and the radio turns off"
+
+spans = st.lists(
+    st.integers(0, len(TEXT)).flatmap(
+        lambda begin: st.tuples(st.just(begin),
+                                st.integers(begin, len(TEXT)))),
+    max_size=12)
+
+
+def tokens(span_list, label):
+    return [Annotation("Token", begin, end, {"normalized": f"{label}{i}"})
+            for i, (begin, end) in enumerate(span_list)]
+
+
+class TestAddSorted:
+    """``add_sorted`` is repeated ``add`` for batches in text order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=spans, existing=spans)
+    def test_equals_repeated_add(self, batch, existing):
+        batch = sorted(batch)
+        bulk, single = CAS(TEXT), CAS(TEXT)
+        for cas in (bulk, single):
+            for annotation in tokens(existing, "e"):
+                cas.add(annotation)
+            cas.annotate("Section", 0, len(TEXT), source="x")
+        bulk.add_sorted(tokens(batch, "b"))
+        for annotation in tokens(batch, "b"):
+            single.add(annotation)
+        assert bulk.select("Token") == single.select("Token")
+        assert bulk.select("Section") == single.select("Section")
+        # the sort keys stay in step: a later add lands where it would
+        probe = Annotation("Token", 10, 12, {"normalized": "p"})
+        bulk.add(probe)
+        single.add(Annotation("Token", 10, 12, {"normalized": "p"}))
+        assert bulk.select("Token") == single.select("Token")
+
+    def test_empty_batch_is_a_no_op(self):
+        cas = CAS("abc")
+        cas.add_sorted([])
+        assert cas.annotation_count() == 0
+
+    @staticmethod
+    def assert_refused(batch, error):
+        cas = CAS("a b c")
+        first = cas.annotate("Token", 0, 1)
+        with pytest.raises(error):
+            cas.add_sorted(batch)
+        assert cas.select("Token") == [first]  # nothing of the batch kept
+
+    def test_refuses_undeclared_feature(self):
+        bogus = Annotation("Token", 4, 5, {"bogus": 1})
+        self.assert_refused([Annotation("Token", 2, 3), bogus],
+                            TypeSystemError)
+        with pytest.raises(TypeSystemError):
+            CAS("a b c").add(bogus)
+
+    def test_refuses_undeclared_type(self):
+        bogus = Annotation("Bogus", 2, 3)
+        self.assert_refused([bogus], TypeSystemError)
+        with pytest.raises(TypeSystemError):
+            CAS("a b c").add(bogus)
+
+    def test_refuses_span_past_the_end(self):
+        past = Annotation("Token", 4, 6)
+        self.assert_refused([Annotation("Token", 2, 3), past],
+                            AnnotationError)
+        with pytest.raises(AnnotationError):
+            CAS("a b c").add(past)
+
+    def test_refuses_unsorted_batch(self):
+        # add sorts, so it has no twin: the span error class add raises
+        self.assert_refused([Annotation("Token", 4, 5),
+                             Annotation("Token", 2, 3)], AnnotationError)
+        self.assert_refused([Annotation("Token", 2, 5),
+                             Annotation("Token", 2, 3)], AnnotationError)
+
+    def test_refuses_mixed_types(self):
+        # the type-system error class add raises for a type it refuses
+        self.assert_refused([Annotation("Token", 2, 3),
+                             Annotation("Section", 4, 5, {"source": "x"})],
+                            TypeSystemError)
+        self.assert_refused([Annotation("Token", 2, 3),
+                             Annotation("Bogus", 4, 5)], TypeSystemError)
