@@ -94,10 +94,12 @@ def store_recommendations(database: Database,
     create_recommendation_table(database)
     table = database.table("recommendations")
     rows = 0
+    # Two statements per list, in call order, so a ref given twice keeps
+    # its last list.
     for recommendation in recommendations:
         table.delete(col("ref_no") == recommendation.ref_no)
-        for rank, scored in enumerate(recommendation.codes, start=1):
-            table.insert({
+        rows += len(table.insert_many(
+            {
                 "ref_no": recommendation.ref_no,
                 "error_code": scored.error_code,
                 "score": scored.score,
@@ -106,8 +108,8 @@ def store_recommendations(database: Database,
                 "pool_size": recommendation.pool_size,
                 "winner_nodes": recommendation.winner_nodes,
                 "part_known": recommendation.part_known,
-            })
-            rows += 1
+            }
+            for rank, scored in enumerate(recommendation.codes, start=1)))
     return rows
 
 

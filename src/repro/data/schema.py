@@ -69,28 +69,23 @@ def create_raw_tables(database: Database) -> None:
 def store_bundles(database: Database, bundles: Iterable[DataBundle]) -> int:
     """Persist *bundles* (and their reports); returns the bundle count."""
     create_raw_tables(database)
-    bundle_table = database.table("bundles")
-    report_table = database.table("reports")
-    count = 0
-    for bundle in bundles:
-        bundle_table.insert({
-            "ref_no": bundle.ref_no,
-            "part_id": bundle.part_id,
-            "article_code": bundle.article_code,
-            "error_code": bundle.error_code,
-            "responsibility_code": bundle.responsibility_code,
-            "part_description": bundle.part_description,
-            "error_description": bundle.error_description,
-        })
-        for report in bundle.reports:
-            report_table.insert({
-                "ref_no": bundle.ref_no,
-                "source": report.source.value,
-                "text": report.text,
-                "language": report.language,
-            })
-        count += 1
-    return count
+    bundles = list(bundles)
+    database.table("bundles").insert_many({
+        "ref_no": bundle.ref_no,
+        "part_id": bundle.part_id,
+        "article_code": bundle.article_code,
+        "error_code": bundle.error_code,
+        "responsibility_code": bundle.responsibility_code,
+        "part_description": bundle.part_description,
+        "error_description": bundle.error_description,
+    } for bundle in bundles)
+    database.table("reports").insert_many({
+        "ref_no": bundle.ref_no,
+        "source": report.source.value,
+        "text": report.text,
+        "language": report.language,
+    } for bundle in bundles for report in bundle.reports)
+    return len(bundles)
 
 
 def load_bundles(database: Database) -> list[DataBundle]:

@@ -17,17 +17,14 @@ ever blocking on writers.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import QueryError, SchemaError, TransactionError
-from .mvcc import MvccState, Transaction
+from .mvcc import MvccState, Transaction, replay_undo
 from .predicate import ALWAYS, Predicate
 from .table import Table
 from .types import Schema
-
-#: Undo-log entry kind tags (mirrors mvcc._ROW/_DDL).
-_ROW = "row"
-_DDL = "ddl"
+from .wal import TXN_BEGIN, TXN_COMMIT
 
 
 class Database:
@@ -64,16 +61,38 @@ class Database:
         self._journal = journal
         self._journal_many = journal_many
         for table in self._tables.values():
-            table.journal = self._route_op
+            self._attach(table)
 
-    def _route_op(self, op: Mapping[str, Any]) -> None:
+    def _attach(self, table: Table) -> None:
+        # An unjournaled database leaves its tables' journals unset, so
+        # they skip building ops nobody reads.
+        table.journal = self._route if self._journal is not None else None
+
+    def _route(self, ops: list[Mapping[str, Any]]) -> None:
+        """Journal the ops of one statement.
+
+        Inside a transaction they are buffered until commit.  An
+        autocommit statement of several ops goes to *journal_many* as
+        one framed batch (one fsync; recovery replays all of it or
+        none); any other op goes to *journal* on its own.
+        """
         if self._journal is None:
             return
         txn = self._mvcc.current_txn()
         if txn is not None:
-            txn.ops.append(dict(op))
+            txn.ops.extend(dict(op) for op in ops)
+        elif len(ops) > 1 and self._journal_many is not None:
+            self._journal_framed(Transaction.next_id(), ops)
         else:
-            self._journal(op)
+            for op in ops:
+                self._journal(op)
+
+    def _journal_framed(self, txn_id: int,
+                        ops: list[Mapping[str, Any]]) -> None:
+        framed: list[Mapping[str, Any]] = [{"op": TXN_BEGIN, "txn": txn_id}]
+        framed.extend(ops)
+        framed.append({"op": TXN_COMMIT, "txn": txn_id})
+        self._journal_many(framed)
 
     # ------------------------------------------------------------------ #
     # catalog
@@ -90,10 +109,10 @@ class Database:
             raise SchemaError(f"table {name!r} already exists")
         table = Table(name, schema)
         table.bind_mvcc(self._mvcc)
-        table.journal = self._route_op
+        self._attach(table)
         self._tables[name] = table
-        self._route_op({"op": "create_table", "table": name,
-                        "schema": schema.to_json()})
+        self._route([{"op": "create_table", "table": name,
+                      "schema": schema.to_json()}])
         txn = self._mvcc.current_txn()
         if txn is not None:
             txn.record_ddl(lambda: self._tables.pop(name, None))
@@ -110,7 +129,7 @@ class Database:
                 return
             raise QueryError(f"no table {name!r}")
         table = self._tables.pop(name)
-        self._route_op({"op": "drop_table", "table": name})
+        self._route([{"op": "drop_table", "table": name}])
         txn = self._mvcc.current_txn()
         if txn is not None:
             txn.record_ddl(lambda: self._tables.__setitem__(name, table))
@@ -159,9 +178,9 @@ class Database:
         """Insert into a table; undo/versioning is captured at table level."""
         return self.table(table_name).insert(values)
 
-    def insert_many(self, table_name: str, rows: Iterator[Mapping[str, Any]] | list) -> list[int]:
-        """Insert several rows through :meth:`insert`."""
-        return [self.insert(table_name, row) for row in rows]
+    def insert_many(self, table_name: str, rows: Iterable[Mapping[str, Any]]) -> list[int]:
+        """Insert several rows as one statement (see :meth:`Table.insert_many`)."""
+        return self.table(table_name).insert_many(rows)
 
     def update(self, table_name: str, row_id: int, changes: Mapping[str, Any]) -> None:
         """Update one row; undo/versioning is captured at table level."""
@@ -210,11 +229,7 @@ class Database:
         try:
             if txn.ops:
                 if self._journal_many is not None:
-                    framed: list[Mapping[str, Any]] = [
-                        {"op": "txn_begin", "txn": txn.txn_id}]
-                    framed.extend(txn.ops)
-                    framed.append({"op": "txn_commit", "txn": txn.txn_id})
-                    self._journal_many(framed)
+                    self._journal_framed(txn.txn_id, txn.ops)
                 elif self._journal is not None:
                     for op in txn.ops:
                         self._journal(op)
@@ -249,36 +264,13 @@ class Database:
         if txn is None:
             raise TransactionError("no transaction to roll back")
         try:
-            self._replay_undo(txn.undo)
+            replay_undo(txn.undo)
         finally:
             txn.undo.clear()
             txn.ops.clear()
             txn.savepoints.clear()
             txn.on_commit.clear()
             self._mvcc.discard(txn)
-
-    def _replay_undo(self, entries: list[tuple[Any, ...]]) -> None:
-        """Reverse-apply undo entries (physical restores, never journaled)."""
-        for entry in reversed(entries):
-            if entry[0] == _DDL:
-                entry[1]()
-                continue
-            _, table, row_id, before, first, chain_appended = entry
-            current = table._rows.get(row_id)
-            if before is None:
-                if current is not None:
-                    table.remove_row(row_id)
-            elif current is None or current != before:
-                table._restore_row(row_id, before)
-            if first:
-                if chain_appended:
-                    chain = table._versions.get(row_id)
-                    if chain:
-                        chain.pop()
-                        if not chain:
-                            del table._versions[row_id]
-                table._dirty.discard(row_id)
-                table._mutations += 1
 
     # -- savepoints ----------------------------------------------------- #
 
@@ -320,7 +312,7 @@ class Database:
         txn = self._current_txn_or_raise("roll back in")
         position = self._find_savepoint(txn, name)
         _, undo_len, ops_len = txn.savepoints[position]
-        self._replay_undo(txn.undo[undo_len:])
+        replay_undo(txn.undo[undo_len:])
         del txn.undo[undo_len:]
         del txn.ops[ops_len:]
         del txn.savepoints[position + 1:]

@@ -17,7 +17,7 @@ insert/update/delete by the owning :class:`~repro.relstore.table.Table`.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import IntegrityError
 
@@ -111,6 +111,21 @@ class UniqueIndex(HashIndex):
         if existing and row_id not in existing:
             raise IntegrityError(f"duplicate value {value!r} for unique column {self.column!r}")
         self._entries[key] = {row_id}
+
+    def check_new(self, values: Iterable[Any]) -> None:
+        """Raise as :meth:`add` would if rows holding *values* were added
+        as new rows, one by one: on a NULL, a key already indexed, or a
+        key repeated among *values*."""
+        seen: set[Any] = set()
+        for value in values:
+            if value is None:
+                raise IntegrityError(
+                    f"unique column {self.column!r} cannot be NULL")
+            key = self._key(value)
+            if key in self._entries or key in seen:
+                raise IntegrityError(
+                    f"duplicate value {value!r} for unique column {self.column!r}")
+            seen.add(key)
 
     def lookup_one(self, key: Any) -> int | None:
         """Return the single row id for *key*, or None."""

@@ -58,7 +58,7 @@ class Transaction:
 
     def __init__(self, read_csn: int, pin_token: int,
                  thread_ident: int) -> None:
-        self.txn_id = next(Transaction._ids)
+        self.txn_id = Transaction.next_id()
         #: The snapshot this transaction reads from.
         self.read_csn = read_csn
         self.pin_token = pin_token
@@ -74,6 +74,11 @@ class Transaction:
         #: Callbacks run once the commit is published (see
         #: ``Database.on_commit``); a rollback drops them.
         self.on_commit: list[Callable[[], None]] = []
+
+    @classmethod
+    def next_id(cls) -> int:
+        """The next id of the counter transactions and WAL frames share."""
+        return next(cls._ids)
 
     def record_ddl(self, undo: Callable[[], None]) -> None:
         """Record a catalog-level inverse (create/drop table or index)."""
@@ -122,20 +127,57 @@ class Transaction:
                 if entry[0] == _ROW and entry[4]]
 
 
+def replay_undo(entries: list[tuple[Any, ...]]) -> None:
+    """Reverse-apply undo entries (physical restores, never journaled).
+
+    Used by rollback, rollback to a savepoint and a failed statement
+    inside a transaction: each brings rows, indexes, version chains and
+    dirty marks back to their state before the entries were recorded.
+    """
+    unsorted: set["Table"] = set()
+    for entry in reversed(entries):
+        if entry[0] == _DDL:
+            entry[1]()
+            continue
+        _, table, row_id, before, first, chain_appended = entry
+        current = table._rows.get(row_id)
+        if before is None:
+            if current is not None:
+                table.remove_row(row_id)
+        elif current is None or current != before:
+            if table._restore_row(row_id, before):
+                unsorted.add(table)
+        if first:
+            if chain_appended:
+                chain = table._versions.get(row_id)
+                if chain:
+                    chain.pop()
+                    if not chain:
+                        del table._versions[row_id]
+            table._dirty.discard(row_id)
+            table._mutations += 1
+    for table in unsorted:
+        table._sort_rows()
+
+
 class _WriteTicket:
-    """Bookkeeping for one table mutation (one statement or one txn op).
+    """Bookkeeping for one statement (one or many rows of one table).
 
     Obtained from :meth:`MvccState.open_write`; the table mutator calls
-    :meth:`claim` before each physical row change, :meth:`seal` after
-    all changes succeeded, :meth:`abort` when they raised, and
-    :meth:`release` unconditionally (after the journal emit, so WAL
-    order matches commit order)."""
+    :meth:`claim` before each physical row change, :meth:`seal` once
+    after all changes succeeded (every row of the statement shares its
+    CSN), :meth:`abort` when they raised, and :meth:`release`
+    unconditionally (after the journal emit, so WAL order matches
+    commit order)."""
 
-    __slots__ = ("state", "txn", "mode", "claims", "sealed")
+    __slots__ = ("state", "txn", "mode", "claims", "sealed", "undo_mark")
 
     def __init__(self, state: "MvccState", txn: Transaction | None) -> None:
         self.state = state
         self.txn = txn
+        #: Inside a transaction: the undo-log length before this
+        #: statement, so a failed statement undoes exactly its own claims.
+        self.undo_mark = len(txn.undo) if txn is not None else 0
         #: Autocommit bookkeeping mode: None (undecided), "chain"
         #: (readers pinned: version chains + dirty marks), or "fast"
         #: (no pins: skip versioning, hold the in-flight latch).
@@ -148,6 +190,8 @@ class _WriteTicket:
         if self.txn is not None:
             self.txn.claim(table, row_id, before)
             return
+        if self.mode == "fast":
+            return  # decided under the lock; nothing to record per row
         state = self.state
         with state.lock:
             if self.mode is None:
@@ -175,11 +219,14 @@ class _WriteTicket:
             return  # visibility is published at commit time
         state = self.state
         with state.lock:
-            state.csn += 1
-            csn = state.csn
+            # Stamp every row before publishing the CSN: a lock-free
+            # reader that takes the new CSN as its snapshot must find
+            # all of the statement's rows committed, not some of them.
+            csn = state.csn + 1
             for claimed_table, row_id, _ in self.claims:
                 claimed_table._row_csn[row_id] = csn
                 claimed_table._dirty.discard(row_id)
+            state.csn = csn
             if self.claims:
                 table._mutations += 1
             if self.mode == "fast":
@@ -188,15 +235,19 @@ class _WriteTicket:
         self.sealed = True
 
     def abort(self, table: "Table") -> None:
-        """Discard claim bookkeeping after a failed mutation.
+        """Discard claim bookkeeping after a failed statement.
 
-        The physical mutators are atomic (they restore heap and indexes
-        before re-raising), so only the version-chain / dirty marks need
-        unwinding here.  Transactional claims stay on the undo log: the
-        recorded before-image equals the unchanged current value, so a
-        later rollback replays them harmlessly.
+        The table mutators restore heap and indexes before this runs, so
+        only the version-chain / dirty marks need unwinding.  Inside a
+        transaction the statement's undo entries are replayed and cut,
+        so the transaction goes on as if the statement never ran.
         """
-        if self.txn is not None or self.sealed:
+        if self.sealed:
+            return
+        if self.txn is not None:
+            undo = self.txn.undo
+            replay_undo(undo[self.undo_mark:])
+            del undo[self.undo_mark:]
             return
         state = self.state
         with state.lock:
@@ -403,12 +454,12 @@ class MvccState:
         """Publish *txn*'s writes: stamp touched rows with a fresh CSN."""
         touched = txn.touched()
         with self.lock:
-            self.csn += 1
-            csn = self.csn
+            csn = self.csn + 1  # published after the stamps, as in seal
             for table, row_id in touched:
                 table._row_csn[row_id] = csn
                 table._dirty.discard(row_id)
                 self._garbage += 1
+            self.csn = csn
             for table in {table for table, _ in touched}:
                 table._mutations += 1
             self._commits += 1

@@ -1,9 +1,9 @@
 """Query predicates.
 
 Predicates are small composable objects evaluated against a row dict.  They
-also expose enough structure (``equality_bindings`` / ``membership_bindings``)
-for the table layer to route a query through a hash or inverted index instead
-of a full scan.
+also expose enough structure (``equality_bindings`` / ``set_bindings`` /
+``membership_bindings``) for the table layer to route a query through a hash
+or inverted index instead of a full scan.
 
 Example:
     >>> from repro.relstore.predicate import col
@@ -41,6 +41,14 @@ class Predicate:
         Only bindings implied conjunctively are returned, so using any one of
         them to pre-filter rows through a hash index is sound (the predicate
         is still re-checked on the narrowed set).
+        """
+        return {}
+
+    def set_bindings(self) -> dict[str, frozenset]:
+        """Column->value-set bindings of conjunctive ``IN`` constraints.
+
+        Sound for probing a hash index once per value, like
+        :meth:`equality_bindings` for one value.
         """
         return {}
 
@@ -118,6 +126,9 @@ class InSet(Predicate):
     def __call__(self, row: Row) -> bool:
         return row.get(self.column) in self.values
 
+    def set_bindings(self) -> dict[str, frozenset]:
+        return {self.column: self.values}
+
 
 @dataclass(frozen=True)
 class Contains(Predicate):
@@ -188,6 +199,12 @@ class And(Predicate):
         bindings: dict[str, Any] = {}
         for part in self.parts:
             bindings.update(part.equality_bindings())
+        return bindings
+
+    def set_bindings(self) -> dict[str, frozenset]:
+        bindings: dict[str, frozenset] = {}
+        for part in self.parts:
+            bindings.update(part.set_bindings())
         return bindings
 
     def membership_bindings(self) -> dict[str, Any]:

@@ -510,8 +510,8 @@ def execute(database: Database, sql: str) -> Any:
         return None
     if kind == "insert":
         table = database.table(statement["table"])
-        for row in statement["rows"]:
-            table.insert(dict(zip(statement["columns"], row)))
+        table.insert_many(dict(zip(statement["columns"], row))
+                          for row in statement["rows"])
         return len(statement["rows"])
     if kind == "explain":
         table = database.table(statement["table"])

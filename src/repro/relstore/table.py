@@ -2,8 +2,8 @@
 
 A :class:`Table` stores rows as tuples keyed by a monotonically increasing
 row id.  Secondary indexes are maintained incrementally; ``select`` consults
-the predicate's equality / membership bindings to pick an index and falls
-back to a full scan.
+the predicate's equality / ``IN`` / membership bindings to pick an index and
+falls back to a full scan.
 """
 
 from __future__ import annotations
@@ -49,11 +49,13 @@ class Table:
         #: A standalone table gets a private MVCC state; ``Database``
         #: rebinds its shared one via :meth:`bind_mvcc`.
         self._mvcc = MvccState(lambda: [self])
-        #: Optional mutation journal: a callable receiving one op dict per
-        #: committed change.  Set by ``Database`` so a write-ahead log can
-        #: capture mutations made directly on the table (the QUEST service
-        #: layer mutates tables without going through ``Database`` helpers).
-        self.journal: Callable[[dict[str, Any]], None] | None = None
+        #: Optional mutation journal: a callable receiving the op dicts of
+        #: one committed statement (one op per row; a single op for an
+        #: update, ``clear`` or index DDL).  Set by ``Database`` so a
+        #: write-ahead log can capture mutations made directly on the
+        #: table (the QUEST service layer mutates tables without going
+        #: through ``Database`` helpers).
+        self.journal: Callable[[list[dict[str, Any]]], None] | None = None
         if schema.primary_key is not None:
             self.create_index(f"pk_{name}", schema.primary_key, unique=True)
 
@@ -61,9 +63,11 @@ class Table:
         """Share the owning database's MVCC state (snapshots span tables)."""
         self._mvcc = state
 
-    def _emit(self, op: dict[str, Any]) -> None:
+    def _emit(self, ops: Iterable[dict[str, Any]]) -> None:
+        """Journal one statement's ops; an unjournaled table never
+        builds them."""
         if self.journal is not None:
-            self.journal(op)
+            self.journal(list(ops))
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -125,9 +129,9 @@ class Table:
         txn = self._mvcc.current_txn()
         if txn is not None:
             txn.record_ddl(lambda: self._indexes.pop(index_name, None))
-        self._emit({"op": "create_index", "table": self.name,
-                    "name": index_name, "column": column,
-                    "unique": unique, "inverted": inverted})
+        self._emit([{"op": "create_index", "table": self.name,
+                     "name": index_name, "column": column,
+                     "unique": unique, "inverted": inverted}])
         return index
 
     def drop_index(self, index_name: str) -> None:
@@ -143,8 +147,8 @@ class Table:
         if txn is not None:
             txn.record_ddl(
                 lambda: self._indexes.__setitem__(index_name, index))
-        self._emit({"op": "drop_index", "table": self.name,
-                    "name": index_name})
+        self._emit([{"op": "drop_index", "table": self.name,
+                     "name": index_name}])
 
     def _index_on(self, column: str, *, inverted: bool = False) -> BaseIndex | None:
         for index in self._indexes.values():
@@ -188,8 +192,33 @@ class Table:
             IntegrityError: on unique-index violations or a duplicate
                 explicit *row_id* (no partial effects).
         """
-        row = self.schema.normalize(values)
+        return self._insert_rows([self.schema.normalize(values)], row_id)[0]
+
+    def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> list[int]:
+        """Insert several rows as one statement; returns their row ids.
+
+        Every row is validated, and checked against the unique indexes,
+        before any is written.  The rows then share one writer-slot
+        hold, one commit (CSN) and, on a WAL-backed database outside a
+        transaction, one framed WAL batch.  A failure on any row leaves
+        the table exactly as it was.  Readers in a read view or a
+        transaction see all of the rows or none of them; a read outside
+        both walks current state and can see a statement in flight.
+
+        Raises:
+            SchemaError / IntegrityError: as :meth:`insert`, for any row.
+        """
+        normalized = [self.schema.normalize(values) for values in rows]
+        if not normalized:
+            return []
+        return self._insert_rows(normalized, None)
+
+    def _insert_rows(self, rows: list[tuple[Any, ...]],
+                     row_id: int | None) -> list[int]:
+        """One insert statement over normalized *rows* (ids ascending
+        from *row_id*, or from the next free id)."""
         ticket = self._mvcc.open_write()
+        inserted: list[int] = []
         committed = False
         try:
             if row_id is None:
@@ -199,33 +228,37 @@ class Table:
                 if row_id in self._rows:
                     raise IntegrityError(
                         f"row id {row_id} already exists in table {self.name!r}")
-            ticket.claim(self, row_id, None)
-            added: list[tuple[BaseIndex, Any]] = []
-            try:
-                for index in self._indexes.values():
-                    value = row[self.schema.index_of(index.column)]
-                    index.add(row_id, value)
-                    added.append((index, value))
-            except IntegrityError:
-                for index, value in added:
-                    index.remove(row_id, value)
-                raise
-            self._rows[row_id] = row
-            self._next_row_id = max(self._next_row_id, row_id + 1)
-            self._mutations += 1
+            # Refuse a duplicate key before linking any row, so a refused
+            # statement never puts a row where a lock-free reader sees it.
+            for index in self._indexes.values():
+                if isinstance(index, UniqueIndex):
+                    position = self.schema.index_of(index.column)
+                    index.check_new(row[position] for row in rows)
+            for new_id, row in enumerate(rows, start=row_id):
+                ticket.claim(self, new_id, None)
+                self._link(new_id, row)
+                inserted.append(new_id)
+            self._next_row_id = max(self._next_row_id, row_id + len(rows))
             ticket.seal(self)
             committed = True
-            self._emit({"op": "insert", "table": self.name, "id": row_id,
-                        "row": self.schema.as_dict(row)})
-            return row_id
+            self._emit(
+                {"op": "insert", "table": self.name, "id": new_id,
+                 "row": self.schema.as_dict(row)}
+                for new_id, row in zip(inserted, rows))
+            return inserted
         finally:
             if not committed:
+                for new_id in reversed(inserted):
+                    self._unlink(new_id, self._rows[new_id])
                 ticket.abort(self)
             ticket.release()
 
-    def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> list[int]:
-        """Insert several rows; returns their row ids."""
-        return [self.insert(row) for row in rows]
+    def _link(self, row_id: int, row: tuple[Any, ...]) -> None:
+        """Index and store one claimed row whose unique keys were checked."""
+        for index in self._indexes.values():
+            index.add(row_id, row[self.schema.index_of(index.column)])
+        self._rows[row_id] = row
+        self._mutations += 1
 
     def get(self, row_id: int) -> dict[str, Any]:
         """Return the row with id *row_id* as a dict.
@@ -284,8 +317,8 @@ class Table:
             self._mutations += 1
             ticket.seal(self)
             committed = True
-            self._emit({"op": "update", "table": self.name, "id": row_id,
-                        "row": self.schema.as_dict(new_row)})
+            self._emit([{"op": "update", "table": self.name, "id": row_id,
+                         "row": self.schema.as_dict(new_row)}])
         finally:
             if not committed:
                 ticket.abort(self)
@@ -300,37 +333,61 @@ class Table:
                 transaction committed a change to the row after this
                 transaction's snapshot.
         """
+        self._delete_rows(lambda: [row_id])
+
+    def delete(self, predicate: Predicate = ALWAYS) -> int:
+        """Delete all rows matching *predicate* as one statement; returns
+        the count.
+
+        The matching set is computed against the caller's snapshot (plus
+        its own writes) once the statement holds the writer slot.  Every
+        matched row is conflict-checked before any is removed, and the
+        removals share one commit, so the delete applies completely or
+        not at all.
+
+        Raises:
+            TransactionConflictError: as :meth:`delete_row`, for any
+                matched row (nothing is deleted then).
+        """
+        return self._delete_rows(lambda: self.row_ids_where(predicate))
+
+    def _delete_rows(self, doomed: Callable[[], list[int]]) -> int:
+        """One delete statement over the row ids *doomed* returns."""
         ticket = self._mvcc.open_write()
+        removed: list[tuple[int, tuple[Any, ...]]] = []
         committed = False
         try:
-            ticket.conflict_check(self, row_id)
-            row = self._rows.get(row_id)
-            if row is None:
-                raise QueryError(f"no row {row_id} in table {self.name!r}")
-            ticket.claim(self, row_id, row)
-            del self._rows[row_id]
-            for index in self._indexes.values():
-                index.remove(row_id, row[self.schema.index_of(index.column)])
-            self._mutations += 1
+            row_ids = doomed()
+            for row_id in row_ids:
+                ticket.conflict_check(self, row_id)
+                if row_id not in self._rows:
+                    raise QueryError(f"no row {row_id} in table {self.name!r}")
+            if not row_ids:
+                return 0
+            for row_id in row_ids:
+                row = self._rows[row_id]
+                ticket.claim(self, row_id, row)
+                self._unlink(row_id, row)
+                removed.append((row_id, row))
             ticket.seal(self)
             committed = True
-            self._emit({"op": "delete", "table": self.name, "id": row_id})
+            self._emit({"op": "delete", "table": self.name, "id": row_id}
+                       for row_id in row_ids)
+            return len(row_ids)
         finally:
             if not committed:
+                if any([self._restore_row(row_id, row)
+                        for row_id, row in reversed(removed)]):
+                    self._sort_rows()
                 ticket.abort(self)
             ticket.release()
 
-    def delete(self, predicate: Predicate = ALWAYS) -> int:
-        """Delete all rows matching *predicate*; returns the count.
-
-        The matching set is computed against the caller's snapshot (plus
-        its own writes); each deletion then goes through the normal
-        conflict-checked path.
-        """
-        doomed = self.row_ids_where(predicate)
-        for row_id in doomed:
-            self.delete_row(row_id)
-        return len(doomed)
+    def _unlink(self, row_id: int, row: tuple[Any, ...]) -> None:
+        """Drop one row from the heap and every index."""
+        del self._rows[row_id]
+        for index in self._indexes.values():
+            index.remove(row_id, row[self.schema.index_of(index.column)])
+        self._mutations += 1
 
     def clear(self) -> None:
         """Delete all rows (indexes are emptied, ids keep increasing)."""
@@ -339,14 +396,10 @@ class Table:
         try:
             for row_id, row in list(self._rows.items()):
                 ticket.claim(self, row_id, row)
-                del self._rows[row_id]
-                for index in self._indexes.values():
-                    index.remove(row_id,
-                                 row[self.schema.index_of(index.column)])
-                self._mutations += 1
+                self._unlink(row_id, row)
             ticket.seal(self)
             committed = True
-            self._emit({"op": "clear", "table": self.name})
+            self._emit([{"op": "clear", "table": self.name}])
         finally:
             if not committed:
                 ticket.abort(self)
@@ -365,21 +418,22 @@ class Table:
         Raises:
             QueryError: if the row does not exist.
         """
-        row = self._rows.pop(row_id, None)
+        row = self._rows.get(row_id)
         if row is None:
             raise QueryError(f"no row {row_id} in table {self.name!r}")
-        for index in self._indexes.values():
-            index.remove(row_id, row[self.schema.index_of(index.column)])
-        self._mutations += 1
+        self._unlink(row_id, row)
         return self.schema.as_dict(row)
 
-    def _restore_row(self, row_id: int, row: tuple[Any, ...]) -> None:
+    def _restore_row(self, row_id: int, row: tuple[Any, ...]) -> bool:
         """Physically re-install *row* under its original id (undo path).
 
         Preserves the durable-row-id invariant: rollback of a delete
         brings the row back under the same id with identical index
         entries, so candidate orderings are byte-identical to the
         pre-transaction state.  No journal op, no version record.
+
+        Returns True when the row landed out of id order; the caller
+        then calls :meth:`_sort_rows` once, after its last restore.
         """
         current = self._rows.get(row_id)
         for index in self._indexes.values():
@@ -389,17 +443,25 @@ class Table:
             elif current[position] != row[position]:
                 index.remove(row_id, current[position])
                 index.add(row_id, row[position])
-        # Scans and row_ids() iterate _rows in insertion order, which is
-        # ascending-id order everywhere else (ids only grow).  A plain
-        # dict insert would append a restored row at the *end*, so a
-        # rolled-back delete would silently reorder every id-ordered
-        # scan; re-sorting keeps the pre-transaction order byte-identical.
         out_of_order = (current is None and bool(self._rows)
                         and next(reversed(self._rows)) > row_id)
         self._rows[row_id] = row
-        if out_of_order:
-            self._rows = dict(sorted(self._rows.items()))
         self._next_row_id = max(self._next_row_id, row_id + 1)
+        self._mutations += 1
+        return out_of_order
+
+    def _sort_rows(self) -> None:
+        """Put ``_rows`` back in ascending id order after restores.
+
+        Scans and row_ids() iterate _rows in insertion order, which is
+        ascending-id order everywhere else (ids only grow).  A restored
+        row is appended at the *end*, so a rolled-back delete would
+        silently reorder every id-ordered scan.  Sorting once per
+        rollback, not once per restored row, keeps the earlier order
+        byte-identical without making the undo of a large delete
+        quadratic in its size.
+        """
+        self._rows = dict(sorted(self._rows.items()))
         self._mutations += 1
 
     def _gc_versions(self, watermark: int) -> int:
@@ -509,7 +571,42 @@ class Table:
             if row is not None:
                 yield row_id, row
 
-    def _index_candidates(self, index: BaseIndex, key: Any,
+    def _plan(self, predicate: Predicate) -> tuple[BaseIndex, list[Any]] | None:
+        """The index probe for *predicate* as ``(index, keys)``, or None
+        for a full scan.
+
+        An equality on an indexed column comes first, then an ``IN`` on
+        one (one probe per value), then a ``contains`` on an inverted
+        index.  Every binding is conjunctive, so the probe's rows are a
+        superset of the matches; callers re-check the predicate.  A hash
+        index holds no NULLs, so a binding that NULL satisfies (``==
+        None``, or an ``IN`` list holding None) cannot use one.
+        """
+        for column, value in predicate.equality_bindings().items():
+            index = self._index_on(column)
+            if index is not None and value is not None:
+                return index, [value]
+        for column, values in predicate.set_bindings().items():
+            index = self._index_on(column)
+            if index is not None and None not in values:
+                return index, list(values)
+        for column, element in predicate.membership_bindings().items():
+            index = self._index_on(column, inverted=True)
+            if index is not None:
+                return index, [element]
+        return None
+
+    @staticmethod
+    def _probe(index: BaseIndex, keys: list[Any]) -> set[int]:
+        """The row ids *index* holds under any of *keys*, each once."""
+        if len(keys) == 1:
+            return index.lookup(keys[0])
+        hits: set[int] = set()
+        for key in keys:
+            hits |= index.lookup(key)
+        return hits
+
+    def _index_candidates(self, index: BaseIndex, keys: list[Any],
                           txn: Transaction | None,
                           snapshot: int) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Snapshot-safe index probe.
@@ -517,10 +614,10 @@ class Table:
         The index reflects *current* state, so beyond its hits we must
         consider rows whose committed value changed after the snapshot
         and rows with uncommitted in-place writes — their snapshot value
-        may match the key even though their current value does not.
+        may match a key even though their current value does not.
         Callers re-check the predicate against the visible record.
         """
-        candidates = set(index.lookup(key))
+        candidates = self._probe(index, keys)
         candidates.update(row_id for row_id, csn in list(self._row_csn.items())
                           if csn > snapshot)
         candidates.update(self._dirty)
@@ -532,33 +629,17 @@ class Table:
     def _candidate_rows(self, predicate: Predicate) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Yield (row_id, row) pairs, narrowed through an index if possible."""
         txn, snapshot = self._mvcc.read_context()
+        plan = self._plan(predicate)
         if snapshot is None:
-            for column, value in predicate.equality_bindings().items():
-                index = self._index_on(column)
-                if index is not None:
-                    for row_id in index.lookup(value):
-                        yield row_id, self._rows[row_id]
-                    return
-            for column, element in predicate.membership_bindings().items():
-                index = self._index_on(column, inverted=True)
-                if index is not None:
-                    for row_id in index.lookup(element):
-                        yield row_id, self._rows[row_id]
-                    return
-            yield from self._rows.items()
-            return
-        for column, value in predicate.equality_bindings().items():
-            index = self._index_on(column)
-            if index is not None:
-                yield from self._index_candidates(index, value, txn, snapshot)
-                return
-        for column, element in predicate.membership_bindings().items():
-            index = self._index_on(column, inverted=True)
-            if index is not None:
-                yield from self._index_candidates(index, element, txn,
-                                                  snapshot)
-                return
-        yield from self._visible_items(txn, snapshot)
+            if plan is None:
+                yield from self._rows.items()
+            else:
+                for row_id in self._probe(*plan):
+                    yield row_id, self._rows[row_id]
+        elif plan is None:
+            yield from self._visible_items(txn, snapshot)
+        else:
+            yield from self._index_candidates(*plan, txn, snapshot)
 
     def select(
         self,
@@ -609,9 +690,9 @@ class Table:
     def row_ids_where(self, predicate: Predicate) -> list[int]:
         """Ascending ids of the visible rows matching *predicate*.
 
-        Planned like :meth:`select`: an equality on an indexed column (or
-        a ``contains`` on an inverted one) probes the index, anything else
-        scans, and under a transaction or read view only rows visible at
+        Planned like :meth:`select`: an equality or ``IN`` on an indexed
+        column (or a ``contains`` on an inverted one) probes the index,
+        anything else scans, and under a transaction or read view only rows visible at
         the snapshot count.  This is the keyed lookup for callers that
         need row ids (to update or delete) rather than row values.
         """
@@ -721,19 +802,15 @@ class Table:
         ``"inverted_index"`` or ``"full_scan"``), the ``index`` name when
         one is used, and the estimated number of rows read.
         """
-        for column, value in predicate.equality_bindings().items():
-            index = self._index_on(column)
-            if index is not None:
-                return {"access": "hash_index", "index": index.name,
-                        "column": column, "rows_examined": len(index.lookup(value))}
-        for column, element in predicate.membership_bindings().items():
-            index = self._index_on(column, inverted=True)
-            if index is not None:
-                return {"access": "inverted_index", "index": index.name,
-                        "column": column,
-                        "rows_examined": len(index.lookup(element))}
-        return {"access": "full_scan", "index": None, "column": None,
-                "rows_examined": len(self._rows)}
+        plan = self._plan(predicate)
+        if plan is None:
+            return {"access": "full_scan", "index": None, "column": None,
+                    "rows_examined": len(self._rows)}
+        index, keys = plan
+        access = ("inverted_index" if isinstance(index, InvertedIndex)
+                  else "hash_index")
+        return {"access": access, "index": index.name, "column": index.column,
+                "rows_examined": len(self._probe(index, keys))}
 
     def aggregate(self, aggregations: Sequence[tuple[str, str]],
                   predicate: Predicate = ALWAYS,

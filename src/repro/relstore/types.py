@@ -94,6 +94,16 @@ def coerce_value(value: Any, column_type: ColumnType) -> Any:
     return value
 
 
+#: The exact Python type each scalar column type stores; a value of that
+#: type passes :func:`coerce_value` unchanged.
+_STORED_AS: dict[ColumnType, type] = {
+    ColumnType.INTEGER: int,
+    ColumnType.REAL: float,
+    ColumnType.TEXT: str,
+    ColumnType.BOOLEAN: bool,
+}
+
+
 @dataclass(frozen=True)
 class Column:
     """A single table column.
@@ -130,6 +140,8 @@ class Column:
             if not self.nullable:
                 raise SchemaError(f"column {self.name!r} is NOT NULL")
             return None
+        if type(value) is _STORED_AS.get(self.type):
+            return value  # already the stored type: nothing to coerce
         try:
             return coerce_value(value, self.type)
         except SchemaError as exc:
@@ -149,6 +161,8 @@ class Schema:
     columns: tuple[Column, ...]
     primary_key: str | None = None
     _by_name: Mapping[str, Column] = field(init=False, repr=False, compare=False, default=None)
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False, default=())
+    _positions: Mapping[str, int] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         names = [column.name for column in self.columns]
@@ -159,6 +173,9 @@ class Schema:
         if self.primary_key is not None and self.primary_key not in names:
             raise SchemaError(f"primary key {self.primary_key!r} is not a column")
         object.__setattr__(self, "_by_name", {column.name: column for column in self.columns})
+        # Frozen, so the name tuple and positions are computed once.
+        object.__setattr__(self, "_names", tuple(names))
+        object.__setattr__(self, "_positions", {name: position for position, name in enumerate(names)})
 
     @classmethod
     def build(
@@ -181,7 +198,7 @@ class Schema:
     @property
     def column_names(self) -> tuple[str, ...]:
         """The column names, in declaration order."""
-        return tuple(column.name for column in self.columns)
+        return self._names
 
     def column(self, name: str) -> Column:
         """Return the column called *name*.
@@ -200,8 +217,10 @@ class Schema:
 
     def index_of(self, name: str) -> int:
         """Positional index of column *name* within a stored row tuple."""
-        self.column(name)
-        return self.column_names.index(name)
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(f"no column {name!r}; have {self._names}") from None
 
     def normalize(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """Turn a column->value mapping into a validated row tuple.
@@ -212,8 +231,8 @@ class Schema:
             SchemaError: on unknown columns, missing required columns, or
                 type mismatches.
         """
-        unknown = set(values) - set(self._by_name)
-        if unknown:
+        if not self._by_name.keys() >= values.keys():
+            unknown = set(values) - set(self._by_name)
             raise SchemaError(f"unknown columns {sorted(unknown)}; have {self.column_names}")
         row: list[Any] = []
         for column in self.columns:
