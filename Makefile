@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-aio test-faults test-serve test-parity test-http test-replication test-triage test-mvcc coverage lint bench serve-bench
+.PHONY: test test-aio test-faults test-serve test-parity test-http test-triage test-mvcc coverage lint bench serve-bench
 
 # Tier-1: the fast deterministic suite gating every change, plus the
 # cross-executor parity contract, the async-transport suite, and the
@@ -28,8 +28,8 @@ test-faults:
 test-serve:
 	$(PYTHON) -m pytest tests/serve -q
 
-# Byte-identical ranked lists: in-process vs gateway vs replica across
-# 5 seeds, the ranked kNN classifier (counting retrieval, top-k
+# Byte-identical ranked lists: in-process vs gateway vs both transports
+# across 5 seeds, the ranked kNN classifier (counting retrieval, top-k
 # selection, frozen view) against the reference Fig. 5/7 transcription,
 # bag-of-concepts extraction against the offset-keeping matcher, and the
 # Fig. 8 UIMA pipeline (tokenizer engine, CAS features) against the
@@ -41,11 +41,6 @@ test-parity:
 # core, keep-alive wire behavior, and the pooled client.
 test-http:
 	$(PYTHON) -m pytest tests/quest/test_webapp.py tests/serve/test_http11.py tests/quest/test_keepalive.py tests/serve/test_httpclient.py -q
-
-# Snapshot replication: the primary's /api/replicate endpoint, replica
-# catch-up/partition behavior, and the replicated-executor parity test.
-test-replication:
-	$(PYTHON) -m pytest tests/serve/test_replication.py "tests/serve/test_parity.py::test_replica_converges_byte_identical" -q
 
 # Human-in-the-loop triage on its own: confidence scoring, the override
 # store, the review queue, per-part profiles and calibration.

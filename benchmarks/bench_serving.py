@@ -22,29 +22,15 @@ persistent HTTP/1.1 connections via :class:`repro.serve.PooledHTTPClient`.
 Floor: keep-alive at least 1.5x connection-per-request throughput at
 concurrency >= 8, p95 latency reported for both arms.
 
-The third phase (ISSUE PR 6, bench A9) measures snapshot replication's
-read scale-out: two replica *processes* converge on the primary's model
-over ``/api/replicate``, then the same closed-loop HTTP trace runs once
-against the primary alone and once fanned out across primary + replicas
-at equal total client count.  Floor: aggregate fanned-out throughput at
-least ``0.6 x (replicas + 1)`` of the single-gateway arm — enforced only
-on hosts with at least one core per node, since colocated replicas on a
-single core just time-slice one CPU.  The phase also asserts the
-correctness half of the ISSUE: converged replicas answer
-``/api/suggest/<ref>`` byte-identically to the primary, a primary write
-becomes visible on every replica within one replication interval (via
-``replica_version`` in ``/api/stats``), and replica writes are refused
-with 405.
-
-The fourth phase (ISSUE PR 7, bench A10) prices the triage layer's
-confidence scoring: the same sequential suggest trace runs once with
+The third phase (bench A10) prices the triage layer's confidence
+scoring: the same sequential suggest trace runs once with
 ``with_confidence=False`` (the plain ranked list) and once with
 ``with_confidence=True`` (margin/agreement/pool-size signals attached to
 every answer).  Floor: the confidence arm keeps at least 90% of plain
 throughput — scoring reads signals the ranker already computed, so its
 overhead must stay under ``CONFIDENCE_OVERHEAD_CEILING_PCT``.
 
-The fifth phase (bench A11) prices the relstore's MVCC snapshot reads:
+The fourth phase (bench A11) prices the relstore's MVCC snapshot reads:
 pooled reader threads run an index-assisted query trace twice — idle
 (no writer) and under a continuously committing MVCC writer transaction
 (readers pin ``read_view()`` snapshots, never block).  Ceiling,
@@ -52,8 +38,8 @@ enforced only on multi-core hosts (a single core just time-slices the
 GIL either way): MVCC reader p95 under the committing writer stays
 within ``MVCC_P95_DEGRADATION_CEILING`` of the idle p95.
 
-The sixth phase (ISSUE PR 10, bench A12) measures connection *scale*
-rather than request throughput: both transports — the threaded
+The fifth phase (bench A12) measures connection *scale* rather than
+request throughput: both transports — the threaded
 ``QuestServer`` and the event-loop ``AsyncQuestServer`` — hold 64/256/
 1024 primed idle keep-alive connections while a small closed-loop pass
 reads warm ``/api/suggest`` answers.  The threaded transport pays a
@@ -63,7 +49,6 @@ connections must be no worse than threaded p95 carrying 64.
 """
 
 import json
-import multiprocessing
 import os
 import socket
 import threading
@@ -85,7 +70,7 @@ WORKERS = 2
 MAX_BATCH = 16
 MAX_WAIT_MS = 2.0
 
-#: Batcher threads of the gateways behind the HTTP phases (A8, A9, A12).
+#: Batcher threads of the gateways behind the HTTP phases (A8, A12).
 HTTP_WORKERS = 4
 
 # HTTP transport phase (A8): enough requests that per-connection setup
@@ -94,16 +79,6 @@ HTTP_REQUESTS = 320
 HTTP_CLIENTS = 8
 #: Floor for keep-alive over connection-per-request throughput.
 KEEPALIVE_SPEEDUP_FLOOR = 1.5
-
-# Replication phase (A9): client count divisible by node count so the
-# fanned-out arm loads every node evenly.
-REPL_REQUESTS = 360
-REPL_CLIENTS = 6
-REPLICA_COUNT = 2
-REPLICATION_INTERVAL_BENCH = 0.25
-#: Per-node scaling floor: fanout must reach at least this fraction of
-#: linear scaling over the single-gateway arm (0.6 x 3 nodes = 1.8x).
-REPLICATION_FLOOR_PER_NODE = 0.6
 
 # Triage phase (A10): plain suggest vs confidence-scored suggest on the
 # bare service, best-of-N sequential passes per arm (arm order alternates
@@ -267,16 +242,14 @@ def test_serving_throughput(benchmark, corpus, bundles, reporter):
 
 
 def _http_pass(base_url, trace, clients, keep_alive):
-    """Closed-loop HTTP load through a shared :class:`PooledHTTPClient`.
+    """Closed-loop HTTP load on *base_url* through a shared
+    :class:`PooledHTTPClient`.
 
-    *base_url* is one URL or a list of node URLs; with a list, client
-    threads are spread round-robin across the nodes (the A9 fanout arm).
     Returns (elapsed seconds, per-request latencies, errors, client
     stats).  The elapsed clock starts when the barrier releases the
     client threads, so connection setup inside the first requests is
     charged to the arm that pays it.
     """
-    urls = [base_url] if isinstance(base_url, str) else list(base_url)
     client = PooledHTTPClient(max_per_host=clients, timeout=30.0,
                               keep_alive=keep_alive)
     shards = [trace[slot::clients] for slot in range(clients)]
@@ -285,12 +258,11 @@ def _http_pass(base_url, trace, clients, keep_alive):
     barrier = threading.Barrier(clients + 1)
 
     def worker(slot, shard):
-        base = urls[slot % len(urls)]
         barrier.wait(timeout=30)
         for path in shard:
             started = time.perf_counter()
             try:
-                response = client.get(base + path)
+                response = client.get(base_url + path)
                 if response.status != 200:
                     raise AssertionError(
                         f"{path} -> {response.status}")
@@ -402,215 +374,6 @@ def test_keepalive_vs_connection_per_request(benchmark, corpus, bundles,
         "ka_connections_created": ka_stats["created"],
         "ka_connections_reused": ka_stats["reused"],
         "per_request_connections": pr_stats["created"],
-    })
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(results_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _replica_main(service, conn, interval):
-    """Child-process entry point: one replica node (fork-inherited
-    service, so nothing here is pickled).  Waits for the primary's URL,
-    serves until terminated."""
-    from repro.serve import ModelRegistry, SnapshotReplicator
-    primary_url = conn.recv()
-    registry = ModelRegistry.from_service(service)
-    gateway = ServeGateway(service, GatewayConfig(
-        workers=HTTP_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
-        max_wait_ms=0.0, default_timeout=30.0, persist=False),
-        registry=registry)
-    replicator = SnapshotReplicator(registry, primary_url,
-                                    interval=interval)
-    users = UserStore()
-    users.add(User("bench", Role.POWER_EXPERT, "Benchmarks"))
-    app = QuestApp(service, users, users.get("bench"), gateway=gateway,
-                   replica_of=primary_url, replicator=replicator)
-    server = QuestServer(app)
-    server.start()
-    replicator.start()
-    host, port = server.address
-    conn.send(f"http://{host}:{port}")
-    threading.Event().wait()  # serve until the parent terminates us
-
-
-def _poll_replica_stats(client, replica_urls, wanted_version, deadline,
-                        pause=0.02):
-    """Poll each replica's /api/stats until it reports *wanted_version*;
-    returns {url: seconds-until-visible} for the ones that made it."""
-    started = time.perf_counter()
-    visible = {}
-    while time.perf_counter() < deadline and len(visible) < \
-            len(replica_urls):
-        for url in replica_urls:
-            if url in visible:
-                continue
-            stats = client.get(url + "/api/stats").json()
-            if stats["replica_version"] >= wanted_version:
-                visible[url] = time.perf_counter() - started
-        time.sleep(pause)
-    return visible
-
-
-def test_replica_read_scaling(benchmark, corpus, bundles, reporter):
-    """A9 — replication: aggregate read throughput across read replicas."""
-    service, refs = _build_service(corpus, bundles)
-    # Fork the replica nodes BEFORE any primary thread exists: fork only
-    # carries the calling thread, so forking after gateway/server startup
-    # could inherit locks frozen in a locked state.
-    ctx = multiprocessing.get_context("fork")
-    replicas = []
-    for _ in range(REPLICA_COUNT):
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=_replica_main,
-                           args=(service, child_conn,
-                                 REPLICATION_INTERVAL_BENCH),
-                           daemon=True)
-        proc.start()
-        child_conn.close()
-        replicas.append((proc, parent_conn))
-
-    gateway = ServeGateway(service, GatewayConfig(
-        workers=HTTP_WORKERS, max_queue=512, max_batch_size=MAX_BATCH,
-        max_wait_ms=0.0, default_timeout=30.0))
-    users = UserStore()
-    users.add(User("bench", Role.POWER_EXPERT, "Benchmarks"))
-    app = QuestApp(service, users, users.get("bench"), gateway=gateway)
-    server = QuestServer(app)
-    server.start()
-    host, port = server.address
-    primary_url = f"http://{host}:{port}"
-    trace = [f"/api/suggest/{refs[number % len(refs)]}"
-             for number in range(REPL_REQUESTS)]
-
-    client = PooledHTTPClient(timeout=30.0)
-    try:
-        for _, conn in replicas:
-            conn.send(primary_url)
-        replica_urls = [conn.recv() for _, conn in replicas]
-
-        # first sync: every replica reaches the primary's version
-        primary_version = gateway.registry.version
-        synced = _poll_replica_stats(
-            client, replica_urls, primary_version,
-            deadline=time.perf_counter() + 30.0)
-        assert len(synced) == len(replica_urls), \
-            f"replicas never converged: {sorted(synced)}"
-
-        # converged replicas answer byte-identically to the primary
-        for ref in refs[:5]:
-            from_primary = client.get(f"{primary_url}/api/suggest/{ref}")
-            assert from_primary.status == 200
-            for url in replica_urls:
-                from_replica = client.get(f"{url}/api/suggest/{ref}")
-                assert from_replica.status == 200
-                assert from_replica.body == from_primary.body, \
-                    f"replica {url} diverged on {ref}"
-
-        # replica writes are refused, pointing at the primary
-        refused = client.post_form(f"{replica_urls[0]}/api/assign",
-                                   {"ref_no": refs[0], "error_code": "X"})
-        assert refused.status == 405
-        assert primary_url in refused.json()["message"]
-
-        # warm every node's memos so both arms measure steady state
-        for url in [primary_url] + replica_urls:
-            for ref in refs:
-                assert client.get(f"{url}/api/suggest/{ref}").status == 200
-
-        def run_both():
-            single = _http_pass(primary_url, trace, REPL_CLIENTS,
-                                keep_alive=True)
-            fanout = _http_pass([primary_url] + replica_urls, trace,
-                                REPL_CLIENTS, keep_alive=True)
-            return single, fanout
-
-        single, fanout = benchmark.pedantic(run_both, rounds=1,
-                                            iterations=1)
-        single_seconds, _, single_errors, _ = single
-        fanout_seconds, _, fanout_errors, _ = fanout
-        assert not single_errors, f"single arm: {single_errors[:3]!r}"
-        assert not fanout_errors, f"fanout arm: {fanout_errors[:3]!r}"
-
-        # a primary write becomes visible within one replication interval
-        suggestion = client.get(
-            f"{primary_url}/api/suggest/{refs[0]}").json()
-        code = (suggestion["top10"] or suggestion["all_codes"])[0]
-        assert client.post_form(f"{primary_url}/api/assign",
-                                {"ref_no": refs[0],
-                                 "error_code": code}).status == 200
-        new_version = gateway.registry.version
-        visible = _poll_replica_stats(
-            client, replica_urls, new_version,
-            deadline=time.perf_counter() + REPLICATION_INTERVAL_BENCH
-            + 10.0)
-        assert len(visible) == len(replica_urls), \
-            f"write never became visible: {sorted(visible)}"
-        visibility_seconds = max(visible.values())
-        # one poll interval plus slack for the stats polling itself —
-        # but only where each node has a core; on an oversubscribed
-        # host three processes time-slice one CPU and the bound is
-        # scheduler noise (the hard deadline above still applies).
-        if (os.cpu_count() or 1) >= REPLICA_COUNT + 1:
-            assert visibility_seconds <= REPLICATION_INTERVAL_BENCH + 1.0, \
-                f"write took {visibility_seconds:.2f}s to reach replicas"
-        staleness = max(
-            client.get(url + "/api/stats").json()["staleness_seconds"]
-            for url in replica_urls)
-        assert staleness < 5.0
-    finally:
-        client.close()
-        for proc, conn in replicas:
-            proc.terminate()
-        for proc, conn in replicas:
-            proc.join(timeout=10)
-            conn.close()
-        report = server.stop(grace=30.0)
-    assert report.cancelled == 0
-
-    cpus = os.cpu_count() or 1
-    nodes = REPLICA_COUNT + 1
-    single_rps = REPL_REQUESTS / single_seconds
-    fanout_rps = REPL_REQUESTS / fanout_seconds
-    speedup = fanout_rps / single_rps
-    floor = REPLICATION_FLOOR_PER_NODE * nodes
-    floor_enforced = cpus >= nodes
-    reporter.row("A9 — replication: single gateway vs primary + "
-                 f"{REPLICA_COUNT} replicas")
-    reporter.row(f"{'arm':<24}{'wall s':>10}{'req/s':>10}")
-    reporter.row(f"{'single gateway':<24}{single_seconds:>10.3f}"
-                 f"{single_rps:>10.1f}")
-    reporter.row(f"{'primary + replicas':<24}{fanout_seconds:>10.3f}"
-                 f"{fanout_rps:>10.1f}")
-    reporter.row(f"scaling: {speedup:.2f}x over {nodes} nodes | "
-                 f"{REPL_REQUESTS} requests, {REPL_CLIENTS} clients, "
-                 f"{cpus} cpus | write visible in "
-                 f"{visibility_seconds * 1000:.0f} ms "
-                 f"(interval {REPLICATION_INTERVAL_BENCH * 1000:.0f} ms)")
-    if floor_enforced:
-        assert speedup >= floor, (
-            f"replicated throughput {speedup:.2f}x < {floor}x floor "
-            f"on a {cpus}-core host")
-    else:
-        reporter.row(f"{cpus} cpu(s) < {nodes} nodes: {floor:.1f}x floor "
-                     f"not enforced (replicas time-slice one core)")
-
-    results_path = RESULTS_DIR / "BENCH_serving.json"
-    payload = {}
-    if results_path.exists():
-        payload = json.loads(results_path.read_text(encoding="utf-8"))
-    payload.update({
-        "repl_requests": REPL_REQUESTS,
-        "repl_clients": REPL_CLIENTS,
-        "replica_count": REPLICA_COUNT,
-        "replication_interval": REPLICATION_INTERVAL_BENCH,
-        "single_gateway_rps": round(single_rps, 2),
-        "replicated_rps": round(fanout_rps, 2),
-        "replication_speedup": round(speedup, 3),
-        "replication_floor": round(floor, 3),
-        "replication_floor_enforced": floor_enforced,
-        "replica_write_visibility_seconds": round(visibility_seconds, 4),
-        "replica_staleness_seconds": round(staleness, 4),
     })
     RESULTS_DIR.mkdir(exist_ok=True)
     with open(results_path, "w", encoding="utf-8") as fh:

@@ -48,25 +48,6 @@ class CodeFrequencyBaseline:
                 part_id)
         return baseline
 
-    @classmethod
-    def from_frequencies(cls, frequencies: dict[str, dict[str, int]],
-                         ) -> "CodeFrequencyBaseline":
-        """Rebuild a baseline from an exported frequency table.
-
-        This is the snapshot-payload import path: replicas get the
-        primary's table verbatim (deep-copied, so later mutations on
-        either side cannot leak across the boundary).
-        """
-        baseline = cls()
-        baseline._frequencies = {part: dict(codes)
-                                 for part, codes in frequencies.items()}
-        return baseline
-
-    def frequency_table(self) -> dict[str, dict[str, int]]:
-        """A deep copy of the per-part code frequency table (export)."""
-        return {part: dict(codes)
-                for part, codes in self._frequencies.items()}
-
     def ranked_codes(self, part_id: str) -> list[ScoredCode]:
         """The frequency-sorted code list for *part_id* (empty if unknown)."""
         frequencies = self._frequencies.get(part_id, {})

@@ -113,15 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="keepalive_max_requests",
                        help="requests served per keep-alive connection "
                             "before the server sends Connection: close")
-    serve.add_argument("--replica-of", default=None, dest="replica_of",
-                       metavar="URL",
-                       help="run as a read replica of the primary at URL: "
-                            "poll its /api/replicate for model snapshots, "
-                            "serve reads, refuse writes with 405")
-    serve.add_argument("--replication-interval", type=float, default=1.0,
-                       dest="replication_interval",
-                       help="seconds between replica polls of the primary "
-                            "(with --replica-of)")
     add_on_error(serve)
 
     review = commands.add_parser(
@@ -306,13 +297,11 @@ def _cmd_serve(port: int, train: int, on_error: str, workers: int,
                max_queue: int, batch_size: int, batch_wait_ms: float,
                timeout: float, keepalive_idle_timeout: float = 30.0,
                keepalive_max_requests: int = 1000,
-               replica_of: str | None = None,
-               replication_interval: float = 1.0,
                transport: str = "thread",
                header_timeout: float = 10.0) -> int:
     from .core import QATK, QatkConfig
     from .quest import QuestApp, QuestServer, Role, User, UserStore
-    from .serve import GatewayConfig, ServeGateway, SnapshotReplicator
+    from .serve import GatewayConfig, ServeGateway
     from .serve.aio import AsyncQuestServer
     corpus = generate_corpus()
     bundles = experiment_subset(corpus.bundles)
@@ -326,16 +315,8 @@ def _cmd_serve(port: int, train: int, on_error: str, workers: int,
     users.add(User("expert", Role.POWER_EXPERT, "Demo Expert"))
     gateway = ServeGateway(service, GatewayConfig(
         workers=workers, max_queue=max_queue, max_batch_size=batch_size,
-        max_wait_ms=batch_wait_ms, default_timeout=timeout,
-        # A replica's recommendations are the primary's business to
-        # persist; writing them locally would just diverge the stores.
-        persist=replica_of is None))
-    replicator = None
-    if replica_of is not None:
-        replicator = SnapshotReplicator(gateway.registry, replica_of,
-                                        interval=replication_interval)
-    app = QuestApp(service, users, users.get("expert"), gateway=gateway,
-                   replica_of=replica_of, replicator=replicator)
+        max_wait_ms=batch_wait_ms, default_timeout=timeout))
+    app = QuestApp(service, users, users.get("expert"), gateway=gateway)
     server_cls = AsyncQuestServer if transport == "async" else QuestServer
     server = server_cls(
         app, port=port, idle_timeout=keepalive_idle_timeout,
@@ -343,26 +324,19 @@ def _cmd_serve(port: int, train: int, on_error: str, workers: int,
         header_timeout=header_timeout)
     host, bound_port = server.address
     gateway.start()
-    replica_note = (f", replica of {replicator.primary_url} "
-                    f"(poll every {replication_interval:g}s)"
-                    if replicator is not None else "")
     print(f"QUEST running on http://{host}:{bound_port}/ "
           f"({transport} transport) — "
           f"{workers} worker(s), queue bound {max_queue}, "
-          f"batches up to {batch_size} ({batch_wait_ms:g} ms window)"
-          f"{replica_note}; Ctrl+C to stop")
+          f"batches up to {batch_size} ({batch_wait_ms:g} ms window); "
+          f"Ctrl+C to stop")
     report = None
     try:
         server.start()
-        if replicator is not None:
-            replicator.start()
         import threading
         threading.Event().wait()
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
-        if replicator is not None:
-            replicator.stop()
         try:
             report = server.stop()
         except KeyboardInterrupt:
@@ -379,14 +353,6 @@ def _cmd_serve(port: int, train: int, on_error: str, workers: int,
           f"p50 {stats['p50_ms']:.1f} ms, p95 {stats['p95_ms']:.1f} ms, "
           f"p99 {stats['p99_ms']:.1f} ms, "
           f"mean batch {stats['mean_batch_size']}")
-    if replicator is not None:
-        repl = replicator.stats_snapshot()
-        print(f"replication: v{repl['replica_version']} of primary "
-              f"v{repl['primary_version']}, "
-              f"{repl['replication_full']} full / "
-              f"{repl['replication_delta']} delta / "
-              f"{repl['replication_failed']} failed polls, "
-              f"staleness {repl['staleness_seconds']:.1f}s")
     return 0
 
 
@@ -491,8 +457,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             timeout=args.timeout,
             keepalive_idle_timeout=args.keepalive_idle_timeout,
             keepalive_max_requests=args.keepalive_max_requests,
-            replica_of=args.replica_of,
-            replication_interval=args.replication_interval,
             transport=args.transport, header_timeout=args.header_timeout)
     if args.command == "review":
         return _cmd_review(args.train, args.incoming, args.threshold,

@@ -88,9 +88,10 @@ class FrozenKnowledgeView:
     one that copies only what a change touches (the touched parts' node,
     key and posting dicts and the touched posting lists) and shares the
     rest, so a reader holding a view needs no lock.  The live
-    :class:`KnowledgeBase` publishes one per committed write; read
-    replicas build one from exported rows.  Rows carry distinct dedup
-    keys (part, code, features), as a knowledge base's rows do.
+    :class:`KnowledgeBase` publishes one per committed write; the
+    Fig. 5/7 reference oracle builds one from exported rows.  Rows carry
+    distinct dedup keys (part, code, features), as a knowledge base's
+    rows do.
     """
 
     def __init__(self, rows: Iterable[KnowledgeRow] = (),
@@ -231,11 +232,10 @@ class FrozenKnowledgeView:
         return [(node, count) for _, node, count in matches]
 
     def export_rows(self) -> list[KnowledgeRow]:
-        """Every node as a plain picklable row, sorted by row id.
+        """Every node as a plain row, sorted by row id.
 
-        The exported rows (with their original row ids) are what a
-        :class:`ModelSnapshot` payload ships to read replicas; a view
-        built from them retrieves with byte-identical ordering.
+        A view built from the exported rows (with their original row
+        ids) retrieves with byte-identical ordering.
         """
         return [(row_id, node.part_id, node.error_code,
                  tuple(sorted(node.features)), node.support)

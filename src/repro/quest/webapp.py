@@ -27,7 +27,6 @@ and response headers are the core's; the event-loop transport is
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 import socketserver
 import threading
@@ -42,7 +41,7 @@ from ..relstore.errors import IntegrityError
 # The gateway class itself is imported lazily in QuestApp.__init__.
 from ..serve import http11
 from ..serve.errors import (DeadlineExceededError, GatewayStoppedError,
-                            QueueFullError, ReplicaWriteError, ServeError)
+                            QueueFullError, ServeError)
 from ..triage import part_profiles
 from .compare import ComparisonView
 from .errors import DegradedServiceError, UnknownBundleError
@@ -64,8 +63,6 @@ def _failure_response(exc: Exception) -> tuple[int, str]:
         return 403, "Forbidden"
     if isinstance(exc, UnknownBundleError):
         return 404, "Not found"
-    if isinstance(exc, ReplicaWriteError):
-        return 405, "Method not allowed"
     if isinstance(exc, (QueueFullError, GatewayStoppedError)):
         return 503, "Server overloaded"
     if isinstance(exc, DeadlineExceededError):
@@ -91,10 +88,7 @@ def _is_json_path(path: str) -> bool:
     return path == "/stats" or path.startswith("/api/")
 
 
-def _content_type(path: str, body: str | bytes) -> str:
-    if isinstance(body, bytes):
-        # Only /api/replicate answers bytes: a pickled payload.
-        return "application/octet-stream"
+def _content_type(path: str) -> str:
     if _is_json_path(path):
         return "application/json"
     return "text/html; charset=utf-8"
@@ -107,9 +101,7 @@ class QuestApp:
                  current_user: User,
                  comparison: ComparisonView | None = None,
                  gateway: "ServeGateway | None" = None,
-                 gateway_config=None,
-                 replica_of: str | None = None,
-                 replicator=None) -> None:
+                 gateway_config=None) -> None:
         self.service = service
         self.users = users
         self.current_user = current_user
@@ -123,12 +115,6 @@ class QuestApp:
         #: or ``max_queue``) without the caller having to construct the
         #: gateway itself.
         self.gateway = gateway
-        #: When set, this app is a **read replica** of the primary at
-        #: that URL: every POST is refused with 405 pointing there.
-        self.replica_of = replica_of
-        #: The replica's :class:`~repro.serve.SnapshotReplicator`, when
-        #: one is attached; its counters merge into ``/api/stats``.
-        self.replicator = replicator
 
     def close(self, grace: float | None = None) -> "DrainReport":
         """Drain and stop the gateway; returns its drain report."""
@@ -137,11 +123,10 @@ class QuestApp:
     # ------------------------------------------------------------------ #
     # request-level operations (transport-independent, unit-testable)
 
-    def get(self, path: str) -> tuple[int, str | bytes]:
+    def get(self, path: str) -> tuple[int, str]:
         """Handle a GET; returns (status, body).  *path* may carry a query
-        string (used by /search?q=... and /api/replicate?base=...).
-        ``/stats`` and ``/api/...`` return JSON (``/api/replicate`` a
-        pickled payload), every other route HTML."""
+        string (used by /search?q=...).  ``/stats`` and ``/api/...``
+        return JSON, every other route HTML."""
         parts = urllib.parse.urlsplit(path)
         path, query_string = parts.path, parts.query
         if path == "/" or path == "/bundles":
@@ -152,7 +137,7 @@ class QuestApp:
                 bundles = load_bundles(self.service.database)
             return 200, views.render_bundle_list(bundles)
         if path.startswith("/api/"):
-            return self._api_get(path, query_string)
+            return self._api_get(path)
         if path.startswith("/bundle/"):
             ref_no = urllib.parse.unquote(path[len("/bundle/"):])
             try:
@@ -162,7 +147,8 @@ class QuestApp:
                 return status, views.render_message(title, str(exc))
             return 200, views.render_suggestions(view)
         if path == "/stats":
-            return 200, json.dumps(self._stats_payload(), sort_keys=True)
+            return 200, json.dumps(self.gateway.stats_snapshot(),
+                                   sort_keys=True)
         if path == "/compare":
             if self.comparison is None:
                 return 200, views.render_message(
@@ -192,32 +178,11 @@ class QuestApp:
             return 200, views.render_history(ref_no, rows)
         return 404, views.render_message("Not found", f"no page {path!r}")
 
-    def _stats_payload(self) -> dict:
-        """Gateway counters, plus replication state when a replicator is
-        attached (``replica_version``/``primary_version``/staleness)."""
-        payload = self.gateway.stats_snapshot()
-        if self.replicator is not None:
-            payload.update(self.replicator.stats_snapshot())
-            payload["replica_of"] = self.replica_of
-        return payload
-
-    def _api_get(self, path: str,
-                 query_string: str = "") -> tuple[int, str | bytes]:
-        """The JSON API's GET routes (bodies are JSON on every path,
-        except ``/api/replicate`` which answers with a pickled snapshot
-        payload for replica polls)."""
+    def _api_get(self, path: str) -> tuple[int, str]:
+        """The JSON API's GET routes (bodies are JSON on every path)."""
         if path == "/api/stats":
-            return 200, json.dumps(self._stats_payload(), sort_keys=True)
-        if path == "/api/replicate":
-            query = urllib.parse.parse_qs(query_string)
-            base: int | None = None
-            if "base" in query:
-                try:
-                    base = int(query["base"][0])
-                except ValueError as exc:
-                    return 400, _json_error("Bad request", exc)
-            return 200, pickle.dumps(
-                self.gateway.replication_payload(base))
+            return 200, json.dumps(self.gateway.stats_snapshot(),
+                                   sort_keys=True)
         if path.startswith("/api/suggest/"):
             ref_no = urllib.parse.unquote(path[len("/api/suggest/"):])
             try:
@@ -269,17 +234,6 @@ class QuestApp:
         routes, HTML otherwise.  Every failure the gateway or service can
         raise maps through :func:`_failure_response`, the same table the
         GET routes use."""
-        if self.replica_of is not None:
-            # Read replicas own no authoritative state: every write is
-            # refused up front, before touching the gateway, and the
-            # caller is pointed at the primary.
-            exc = ReplicaWriteError(
-                f"read replica: writes must go to the primary at "
-                f"{self.replica_of}")
-            status, title = _failure_response(exc)
-            if _is_json_path(path):
-                return status, _json_error(title, exc)
-            return status, views.render_message(title, str(exc))
         if path == "/assign" or path == "/api/assign":
             as_json = path.startswith("/api/")
             ref_no = form.get("ref_no", "")
@@ -383,7 +337,7 @@ class QuestApp:
             else:
                 body = views.render_message(event.title, event.message)
             return http11.Response(event.status, body,
-                                   _content_type(event.target, body))
+                                   _content_type(event.target))
         try:
             if event.method == "POST":
                 form = {key: values[0] for key, values
@@ -397,7 +351,7 @@ class QuestApp:
                 500, views.render_message("Internal error", str(exc)),
                 "text/html; charset=utf-8", close=True)
         return http11.Response(status, body,
-                               _content_type(event.target, body))
+                               _content_type(event.target))
 
 
 class _ThreadingServer(socketserver.ThreadingTCPServer):

@@ -112,17 +112,21 @@ class UniqueIndex(HashIndex):
             raise IntegrityError(f"duplicate value {value!r} for unique column {self.column!r}")
         self._entries[key] = {row_id}
 
-    def check_new(self, values: Iterable[Any]) -> None:
-        """Raise as :meth:`add` would if rows holding *values* were added
-        as new rows, one by one: on a NULL, a key already indexed, or a
-        key repeated among *values*."""
+    def check_batch(self, rows: Iterable[tuple[int, Any]]) -> None:
+        """Raise as :meth:`add` would if every ``(row_id, value)`` in
+        *rows* took its value at once (new rows under fresh ids, or
+        updated rows): on a NULL, a key still held by a row outside
+        *rows*, or a key two of them take."""
+        batch = dict(rows)
         seen: set[Any] = set()
-        for value in values:
+        for value in batch.values():
             if value is None:
                 raise IntegrityError(
                     f"unique column {self.column!r} cannot be NULL")
             key = self._key(value)
-            if key in self._entries or key in seen:
+            holders = self._entries.get(key)
+            if key in seen or (holders and any(holder not in batch
+                                               for holder in holders)):
                 raise IntegrityError(
                     f"duplicate value {value!r} for unique column {self.column!r}")
             seen.add(key)

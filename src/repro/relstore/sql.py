@@ -534,14 +534,8 @@ def execute(database: Database, sql: str) -> Any:
                             descending=statement["descending"],
                             limit=statement["limit"])
     if kind == "update":
-        table = database.table(statement["table"])
-        predicate = statement["where"]
-        touched = 0
-        for row_id in list(table.row_ids()):
-            if predicate(table.get(row_id)):
-                table.update(row_id, statement["changes"])
-                touched += 1
-        return touched
+        return database.table(statement["table"]).update_where(
+            statement["where"], statement["changes"])
     if kind == "delete":
         return database.table(statement["table"]).delete(statement["where"])
     if kind == "begin":

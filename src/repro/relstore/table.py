@@ -50,8 +50,8 @@ class Table:
         #: rebinds its shared one via :meth:`bind_mvcc`.
         self._mvcc = MvccState(lambda: [self])
         #: Optional mutation journal: a callable receiving the op dicts of
-        #: one committed statement (one op per row; a single op for an
-        #: update, ``clear`` or index DDL).  Set by ``Database`` so a
+        #: one committed statement (one op per row; a single op for
+        #: ``clear`` or index DDL).  Set by ``Database`` so a
         #: write-ahead log can capture mutations made directly on the
         #: table (the QUEST service layer mutates tables without going
         #: through ``Database`` helpers).
@@ -233,7 +233,9 @@ class Table:
             for index in self._indexes.values():
                 if isinstance(index, UniqueIndex):
                     position = self.schema.index_of(index.column)
-                    index.check_new(row[position] for row in rows)
+                    index.check_batch(
+                        (new_id, row[position])
+                        for new_id, row in enumerate(rows, start=row_id))
             for new_id, row in enumerate(rows, start=row_id):
                 ticket.claim(self, new_id, None)
                 self._link(new_id, row)
@@ -286,39 +288,72 @@ class Table:
             SchemaError / IntegrityError: on constraint violations; the row
                 is left unchanged in that case.
         """
+        self._update_rows(lambda: [row_id], changes)
+
+    def update_where(self, predicate: Predicate,
+                     changes: Mapping[str, Any]) -> int:
+        """Apply *changes* to all rows matching *predicate* as one
+        statement; returns the count.
+
+        Matched like :meth:`delete`.  Every matched row is
+        conflict-checked and normalized, and the unique indexes are
+        checked against the statement's end state, before any row
+        changes; the changes then share one commit, so the update
+        applies completely or not at all.
+
+        Raises:
+            SchemaError / IntegrityError: as :meth:`update`, for any row
+                (nothing is updated then).
+            TransactionConflictError: as :meth:`delete_row`.
+        """
+        return self._update_rows(lambda: self.row_ids_where(predicate),
+                                 changes)
+
+    def _update_rows(self, targets: Callable[[], list[int]],
+                     changes: Mapping[str, Any]) -> int:
+        """One update statement over the row ids *targets* returns."""
         ticket = self._mvcc.open_write()
         committed = False
         try:
-            ticket.conflict_check(self, row_id)
-            old_row = self._rows.get(row_id)
-            if old_row is None:
-                raise QueryError(f"no row {row_id} in table {self.name!r}")
-            merged = self.schema.as_dict(old_row)
-            merged.update(changes)
-            new_row = self.schema.normalize(merged)
-            ticket.claim(self, row_id, old_row)
-            modified: list[tuple[BaseIndex, Any, Any]] = []
+            updates: list[tuple[int, tuple[Any, ...], tuple[Any, ...]]] = []
+            for row_id in targets():
+                ticket.conflict_check(self, row_id)
+                old_row = self._rows.get(row_id)
+                if old_row is None:
+                    raise QueryError(f"no row {row_id} in table {self.name!r}")
+                merged = self.schema.as_dict(old_row)
+                merged.update(changes)
+                updates.append((row_id, old_row, self.schema.normalize(merged)))
+            if not updates:
+                return 0
+            for index in self._indexes.values():
+                if isinstance(index, UniqueIndex):
+                    position = self.schema.index_of(index.column)
+                    index.check_batch((row_id, new_row[position])
+                                      for row_id, _, new_row in updates)
+            for row_id, old_row, _ in updates:
+                ticket.claim(self, row_id, old_row)
+            # Checked above, so nothing from here on can fail.  Old keys
+            # leave an index before new ones arrive, so the order the
+            # rows are applied in never matters.
             for index in self._indexes.values():
                 position = self.schema.index_of(index.column)
-                old_value, new_value = old_row[position], new_row[position]
-                if old_value == new_value:
-                    continue
-                index.remove(row_id, old_value)
-                try:
+                moved = [(row_id, old_row[position], new_row[position])
+                         for row_id, old_row, new_row in updates
+                         if old_row[position] != new_row[position]]
+                for row_id, old_value, _ in moved:
+                    index.remove(row_id, old_value)
+                for row_id, _, new_value in moved:
                     index.add(row_id, new_value)
-                except IntegrityError:
-                    index.add(row_id, old_value)
-                    for other, other_old, other_new in reversed(modified):
-                        other.remove(row_id, other_new)
-                        other.add(row_id, other_old)
-                    raise
-                modified.append((index, old_value, new_value))
-            self._rows[row_id] = new_row
+            for row_id, _, new_row in updates:
+                self._rows[row_id] = new_row
             self._mutations += 1
             ticket.seal(self)
             committed = True
-            self._emit([{"op": "update", "table": self.name, "id": row_id,
-                         "row": self.schema.as_dict(new_row)}])
+            self._emit({"op": "update", "table": self.name, "id": row_id,
+                        "row": self.schema.as_dict(new_row)}
+                       for row_id, _, new_row in updates)
+            return len(updates)
         finally:
             if not committed:
                 ticket.abort(self)

@@ -8,15 +8,11 @@ relstore transactions, and serving statistics.  See docs/serving.md.
 """
 
 from .errors import (DeadlineExceededError, GatewayStoppedError,
-                     QueueFullError, ReplicaWriteError, ServeError,
-                     SnapshotPayloadError)
+                     QueueFullError, ServeError)
 from .gateway import DrainReport, GatewayConfig, ServeGateway
 from .httpclient import ClientResponse, HTTPClientError, PooledHTTPClient
 from .queue import RequestQueue, SuggestRequest
-from .registry import (PAYLOAD_RETENTION, ModelRegistry, ModelSnapshot,
-                       apply_payload_delta, diff_payloads)
-from .replica import (REPLICATION_INTERVAL, REPLICATION_TIMEOUT,
-                      SnapshotReplicator)
+from .registry import ModelRegistry, ModelSnapshot
 from .stats import ServeStats, percentile
 
 
@@ -42,19 +38,11 @@ __all__ = [
     "PooledHTTPClient",
     "ModelRegistry",
     "ModelSnapshot",
-    "PAYLOAD_RETENTION",
     "QueueFullError",
-    "REPLICATION_INTERVAL",
-    "REPLICATION_TIMEOUT",
-    "ReplicaWriteError",
     "RequestQueue",
     "ServeError",
     "ServeGateway",
     "ServeStats",
-    "SnapshotPayloadError",
-    "SnapshotReplicator",
     "SuggestRequest",
-    "apply_payload_delta",
-    "diff_payloads",
     "percentile",
 ]

@@ -59,8 +59,8 @@ class AsyncQuestServer:
     :class:`~repro.quest.webapp.QuestServer`.
 
     The loop runs in one background thread; ``start()`` and ``stop()``
-    keep the synchronous call signatures the CLI, the replica runner and
-    the test-suite fixtures already use, so transports swap with one
+    keep the synchronous call signatures the CLI, the benchmarks and the
+    test-suite fixtures already use, so transports swap with one
     constructor change.
     """
 

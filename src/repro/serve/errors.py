@@ -29,17 +29,3 @@ class DeadlineExceededError(ServeError):
 class GatewayStoppedError(ServeError):
     """The gateway is shutting down (or stopped) and no longer accepts or
     completes requests; queued work rejected during drain carries this."""
-
-
-class SnapshotPayloadError(ServeError):
-    """A model snapshot could not be exported to / rebuilt from a payload
-    (unsupported knowledge-base type, unknown format, or a delta applied
-    against the wrong base version)."""
-
-
-class ReplicaWriteError(ServeError):
-    """A write was attempted against a read replica.
-
-    Replicas serve suggestions from replicated snapshots but own no
-    authoritative state; the web app refuses their writes with HTTP 405
-    and points the caller at the primary."""

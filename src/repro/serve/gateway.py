@@ -41,13 +41,11 @@ from ..knowledge.extractor import test_document
 from ..quest.errors import DegradedServiceError, UnknownBundleError
 from ..quest.service import QuestService, SuggestionView
 from ..quest.users import User
-from .errors import (DeadlineExceededError, GatewayStoppedError,
-                     SnapshotPayloadError)
+from .errors import DeadlineExceededError, GatewayStoppedError
 from ..triage import (OVERRIDE_CONFIDENCE, override_recommendation,
                       score_confidence)
 from .queue import RequestQueue, SuggestRequest
-from .registry import (PAYLOAD_FORMAT, ModelRegistry, ModelSnapshot,
-                       diff_payloads)
+from .registry import ModelRegistry, ModelSnapshot
 from .stats import ServeStats
 
 
@@ -100,12 +98,10 @@ class ServeGateway:
     """Concurrent serving front-end over one :class:`QuestService`."""
 
     def __init__(self, service: QuestService,
-                 config: GatewayConfig | None = None,
-                 registry: ModelRegistry | None = None) -> None:
+                 config: GatewayConfig | None = None) -> None:
         self.service = service
         self.config = config or GatewayConfig()
-        self.registry = (registry if registry is not None
-                         else ModelRegistry.from_service(service))
+        self.registry = ModelRegistry.from_service(service)
         self.stats = ServeStats()
         self._queue = RequestQueue(self.config.max_queue)
         self._threads: list[threading.Thread] = []
@@ -123,8 +119,8 @@ class ServeGateway:
         # extracted features, per-part code lists and healthy
         # recommendations survive across batches until a write installs a
         # new snapshot.  Keyed by snapshot *identity*, not version number:
-        # a replica's install() adopts the primary's version, which can
-        # repeat across different models (e.g. after a primary restart).
+        # a snapshot is the object the registry published, so identity
+        # names exactly the models a memo entry was computed from.
         # persisted_refs keeps the batcher from re-writing an identical
         # recommendation row set for every repeat request per snapshot.
         self._memo_lock = threading.Lock()
@@ -289,8 +285,8 @@ class ServeGateway:
                  reason: str = "") -> dict:
         """Pin an error code to a bundle transactionally.
 
-        The new snapshot carries the refreshed override map, so this
-        gateway and its replicas serve the pin from the next version on.
+        The new snapshot carries the refreshed override map, so the
+        gateway serves the pin from the next version on.
         """
         with self._write_txn():
             record = self.service.apply_override(actor, ref_no, error_code,
@@ -324,44 +320,6 @@ class ServeGateway:
             self.registry.bump(overrides=overrides)
             self.stats.count("swaps")
         return outcome
-
-    # ------------------------------------------------------------------ #
-    # replication (primary side)
-
-    def _export_payload(self) -> dict:
-        """Export the current snapshot.  Its knowledge rows come from the
-        published views, which a concurrent writer replaces but never
-        mutates, so the export needs no lock."""
-        return self.registry.current().to_payload()
-
-    def replication_payload(self, base_version: int | None) -> dict:
-        """Answer one replica poll: a delta against *base_version* when
-        possible, a full payload otherwise, or a ``"current"`` marker
-        when the replica is already caught up.
-
-        Exports are made on demand (and retained in the registry) at poll
-        time, so the write path never exports and the primary pays the
-        export cost at most once per version per poll cycle; the previous
-        poll's retained export is the next delta base.
-        """
-        registry = self.registry
-        full = registry.retained_payload(registry.version)
-        if full is None:
-            full = self._export_payload()
-            registry.retain_payload(full)
-        if base_version == full["version"]:
-            return {"format": PAYLOAD_FORMAT, "kind": "current",
-                    "version": full["version"]}
-        if base_version is not None and base_version < full["version"]:
-            base = registry.retained_payload(base_version)
-            if base is not None:
-                try:
-                    delta = diff_payloads(base, full)
-                except SnapshotPayloadError:
-                    delta = None
-                if delta is not None:
-                    return delta
-        return full
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -5,8 +5,8 @@ app: ``urllib.request`` (which forces ``Connection: close`` on every
 call, paying a TCP connect plus a server-side handler thread per
 request) and a bare ``http.client.HTTPConnection`` (persistent, but
 single-connection and with no recovery when the server quietly closes an
-idle socket).  This module is the third option the ROADMAP's replication
-work and the serving benchmarks share:
+idle socket).  This module is the third option, for load generators and
+clients that talk to one server or to many hosts at once:
 
 * a **per-host connection pool** with a bounded size — connections are
   acquired exclusively, reused LIFO (warmest socket first) and released
@@ -275,9 +275,9 @@ class PooledHTTPClient:
                 entry = candidate
                 break
             if not pool:
-                # Drop the emptied deque: a client polling many hosts
-                # (the replication pattern) would otherwise grow _pools
-                # by one dead entry per host it ever contacted.
+                # Drop the emptied deque: a client that talks to many
+                # hosts would otherwise grow _pools by one dead entry per
+                # host it ever contacted.
                 del self._pools[key]
             return entry
 

@@ -82,8 +82,7 @@ def score_confidence(recommendation: Recommendation) -> Confidence:
 
     Pure in the recommendation (same input, same output, on every
     executor), which is what lets the cross-executor parity suite demand
-    byte-identical confidence across in-process, thread, process and
-    replica serving.
+    byte-identical confidence across in-process and gateway serving.
     """
     codes = recommendation.codes
     pool_size = recommendation.pool_size

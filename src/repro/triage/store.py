@@ -89,8 +89,8 @@ class OverrideStore:
     def active_map(self) -> dict[str, str]:
         """All active pins as ``{ref_no: error_code}``.
 
-        This is the mapping that joins the :class:`ModelSnapshot` payload
-        so the gateway and its replicas serve overrides consistently.
+        This is the mapping a :class:`ModelSnapshot` carries, so the
+        in-process service and the gateway serve overrides consistently.
         """
         pins: dict[str, str] = {}
         for row in self._table.select(col("superseded_by").is_null()):

@@ -346,16 +346,6 @@ class TestTriageRoutes:
         assert profiles
         assert {"part_id", "override_rate", "hit_rate"} <= set(profiles[0])
 
-    def test_replica_refuses_triage_writes(self, service, taxonomy,
-                                           small_corpus, trained_qatk):
-        app = make_app(service, taxonomy, small_corpus, trained_qatk)
-        app.replica_of = "http://primary:8080"
-        _, held_out = service
-        assert app.post("/api/override",
-                        {"ref_no": held_out[0].ref_no,
-                         "error_code": "E1"})[0] == 405
-        assert app.post("/review", {"action": "claim"})[0] == 405
-
 
 class TestSearchRoute:
     def test_search_route(self, service, taxonomy, small_corpus, trained_qatk):

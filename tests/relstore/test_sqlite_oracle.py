@@ -1,11 +1,12 @@
 """Differential tests against stdlib ``sqlite3`` as an oracle.
 
-The same random sequence of multi-row inserts, deletes and selects runs
-on a relstore table and on an SQLite table of the same shape, with
-``=`` and ``IN`` on an indexed column (``part``) and an unindexed one
-(``n``); after every step both hold the same rows and answer every
-query alike.  SQLite applies each statement atomically, so a multi-row
-insert that hits the unique key inserts nothing on either side.
+The same random sequence of multi-row inserts, updates, deletes and
+selects runs on a relstore table and on an SQLite table of the same
+shape, with ``=`` and ``IN`` on an indexed column (``part``) and an
+unindexed one (``n``); after every step both hold the same rows and
+answer every query alike.  SQLite applies each statement atomically, so
+a multi-row insert or an update that hits the unique key changes
+nothing on either side.
 
 This is a first slice of a relstore-against-SQLite oracle: row values
 and counts are compared, not row ids (SQLite reuses the ids of deleted
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 from repro.relstore import Database, IntegrityError, Schema, col, execute
 
 _parts = ["a", "b", "c"]
+_keys = st.text(alphabet="pqrs", min_size=1, max_size=2)
 _rows = st.lists(st.fixed_dictionaries({
-    "k": st.text(alphabet="pqrs", min_size=1, max_size=2),
+    "k": _keys,
     "part": st.sampled_from(_parts + [None]),
     "n": st.one_of(st.none(), st.integers(0, 3))}), max_size=6)
 _conditions = st.one_of(
@@ -31,15 +33,25 @@ _conditions = st.one_of(
               st.lists(st.one_of(st.sampled_from(_parts), st.integers(0, 3)),
                        min_size=1, max_size=3)),
 )
+#: ``SET`` lists of constants.  A constant ``k`` given to two matched
+#: rows, or to one row while another keeps it, breaks the unique key.
+_assignments = st.fixed_dictionaries({}, optional={
+    "k": st.one_of(st.none(), _keys),
+    "part": st.sampled_from(_parts + [None]),
+    "n": st.one_of(st.none(), st.integers(0, 3))}).filter(bool)
 _steps = st.lists(st.one_of(
     st.tuples(st.just("insert_many"), _rows),
     st.tuples(st.just("sql_insert"), _rows),
+    st.tuples(st.just("sql_update"),
+              st.tuples(_assignments, st.one_of(st.none(), _conditions))),
     st.tuples(st.just("delete"), _conditions),
     st.tuples(st.just("delete_api"), _conditions),
 ), max_size=10)
 
 
 def literal(value):
+    if value is None:
+        return "NULL"
     return f"'{value}'" if isinstance(value, str) else str(value)
 
 
@@ -57,8 +69,8 @@ def predicate(condition):
 
 def values_sql(rows):
     return ", ".join(
-        "(" + ", ".join("NULL" if row[name] is None else literal(row[name])
-                        for name in ("k", "part", "n")) + ")"
+        "(" + ", ".join(literal(row[name]) for name in ("k", "part", "n"))
+        + ")"
         for row in rows)
 
 
@@ -113,6 +125,21 @@ class Pair:
                 assert cursor is not None
             except IntegrityError:
                 assert cursor is None
+        elif kind == "sql_update":
+            changes, condition = argument
+            sql = "UPDATE t SET " + ", ".join(
+                f"{column} = {literal(value)}"
+                for column, value in changes.items())
+            if condition is not None:
+                sql += f" WHERE {where(condition)}"
+            cursor = self.oracle(sql)
+            try:
+                count = execute(self.db, sql)
+            except IntegrityError:
+                assert cursor is None
+            else:
+                assert cursor is not None
+                assert count == cursor.rowcount
         elif kind == "delete":
             sql = f"DELETE FROM t WHERE {where(argument)}"
             assert execute(self.db, sql) == self.oracle(sql).rowcount

@@ -1,4 +1,5 @@
-"""Multi-row statements: ``Table.insert_many`` and ``Table.delete``.
+"""Multi-row statements: ``Table.insert_many``, ``Table.update_where``
+and ``Table.delete``.
 
 A multi-row write is one statement: one writer-slot hold, one commit
 sequence number and, on a WAL-backed database outside a transaction,
@@ -340,6 +341,81 @@ def test_delete_conflict_on_kth_row_deletes_nothing(k):
     assert len(db._mvcc.current_txn().undo) == undo
     db.rollback()
     assert table.count() == len(SEED_ROWS)
+    assert table.check_consistency() == []
+
+
+def test_update_where_is_one_statement():
+    db = seeded_db()
+    table = db.table("t")
+    csn = db._mvcc.csn
+    assert table.update_where(col("n") >= 3, {"part": "q", "n": 7}) == 2
+    assert db._mvcc.csn == csn + 1
+    assert [op["op"] for op in db.ops] == [TXN_BEGIN, "update", "update",
+                                          TXN_COMMIT]
+    assert len(db.frames) == 1
+    assert sorted(table.row_ids_where(col("part") == "q")) == [4, 5]
+    assert table.update_where(col("part") == "nothing", {"n": 0}) == 0
+    assert len(db.frames) == 1
+    assert table.check_consistency() == []
+
+
+def bad_updates():
+    """(name, predicate, changes, error) for refused update statements."""
+    yield "unique-two-matched", col("n") >= 1, {"k": "z"}, IntegrityError
+    yield "unique-unmatched", col("n") == 1, {"k": "k3"}, IntegrityError
+    yield "unique-null", col("n") == 1, {"k": None}, IntegrityError
+    yield "schema", col("n") >= 1, {"n": "not a number"}, SchemaError
+
+
+@pytest.mark.parametrize("mode", ["autocommit", "pinned", "transaction"])
+@pytest.mark.parametrize("name,predicate,changes,error", list(bad_updates()),
+                         ids=[case[0] for case in bad_updates()])
+def test_refused_update_where_changes_nothing(mode, name, predicate,
+                                              changes, error):
+    db = seeded_db()
+    table = db.table("t")
+    before, csn = state(table), db._mvcc.csn
+    if mode == "transaction":
+        db.begin()
+        table.insert({"k": "kept", "n": 9})
+        inside, undo = state(table), len(db._mvcc.current_txn().undo)
+        with pytest.raises(error):
+            table.update_where(predicate, changes)
+        assert state(table) == inside
+        assert len(db._mvcc.current_txn().undo) == undo
+        db.rollback()
+        assert state(table)["rows"] == before["rows"]
+        return
+    with PinnedView(db) if mode == "pinned" else contextlib.nullcontext():
+        with pytest.raises(error):
+            table.update_where(predicate, changes)
+        assert state(table) == before
+        assert db._mvcc.csn == csn
+    assert db.ops == []
+    assert table.check_consistency() == []
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_update_conflict_on_kth_row_updates_nothing(k):
+    db = seeded_db()
+    table = db.table("t")
+    db.begin()
+    undo = len(db._mvcc.current_txn().undo)
+
+    def commit_elsewhere():
+        (row_id,) = table.row_ids_where(col("k") == f"k{k}")
+        table.update(row_id, {"n": 100})
+
+    thread = threading.Thread(target=commit_elsewhere)
+    thread.start()
+    thread.join(30)
+    before = state(table)
+    with pytest.raises(TransactionConflictError):
+        table.update_where(col("part") == "p", {"part": "q"})
+    assert state(table) == before
+    assert len(db._mvcc.current_txn().undo) == undo
+    db.rollback()
+    assert table.count(col("part") == "p") == len(SEED_ROWS)
     assert table.check_consistency() == []
 
 

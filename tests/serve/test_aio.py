@@ -4,12 +4,11 @@ The shared wire contract — error table, body discipline, keep-alive
 semantics, pipelining, protocol errors — is pinned against *both*
 transports by the parameterized suite in ``tests/quest/test_keepalive.py``.
 This module covers what is specific to the asyncio transport: connection
-scale (many idle keep-alive sockets on one loop), the bytes route, and
-the lifecycle (double-stop, never-started stop, context manager).
+scale (many idle keep-alive sockets on one loop) and the lifecycle
+(double-stop, never-started stop, context manager).
 """
 
 import json
-import pickle
 import socket
 import time
 
@@ -97,22 +96,6 @@ class TestConnectionScale:
         finally:
             for sock in idle:
                 sock.close()
-
-
-class TestBytesAndMethods:
-    def test_replicate_route_serves_pickled_bytes(self, running_server):
-        server, app, _ = running_server
-        sock, host = _connect(server)
-        try:
-            sock.sendall(f"GET /api/replicate HTTP/1.1\r\nHost: {host}"
-                         "\r\n\r\n".encode("ascii"))
-            status, headers, body, _ = _read_response(sock)
-            assert status == 200
-            assert headers["content-type"] == "application/octet-stream"
-            payload = pickle.loads(body)
-            assert payload["kind"] == "full"
-        finally:
-            sock.close()
 
 
 class TestLifecycle:

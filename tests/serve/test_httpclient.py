@@ -259,8 +259,8 @@ class TestKeepAliveDisabled:
 
 class TestPoolDictCleanup:
     """Regression: emptied per-host deques must leave ``_pools`` — a
-    client polling many hosts (the replication pattern) would otherwise
-    grow the dict by one dead entry per host it ever contacted."""
+    client that talks to many hosts would otherwise grow the dict by one
+    dead entry per host it ever contacted."""
 
     def test_acquire_drops_emptied_host_entry(self, echo_server):
         client = PooledHTTPClient()

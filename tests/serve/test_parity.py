@@ -1,22 +1,18 @@
 """Cross-executor parity: the ranked lists must be byte-identical.
 
-Three executors answer the same ``suggest`` requests over one shared
+Two executors answer the same ``suggest`` requests over one shared
 service:
 
 1. the bare in-process ``QuestService.suggest``,
 2. a :class:`ServeGateway` (batcher threads classify against the
-   registry's snapshot, through the per-version memos),
-3. a replicated gateway whose snapshot arrived over ``/api/replicate``.
+   registry's snapshot, through the per-version memos).
 
 For five corpus seeds, every executor must produce byte-identical ranked
 recommendation lists — including *after* a mid-run write that bumps the
 snapshot version, and after an engineer's override pin.
 
-Comparison serializes each view through JSON, not pickle: pickle output
-depends on object *identity* (strings shared between the ranked list and
-the code list serialize as memo backreferences locally but not after a
-network transfer), while JSON bytes are a pure function of the values —
-which is exactly the parity being claimed.
+Comparison serializes each view through JSON, whose bytes are a pure
+function of the values — which is exactly the parity being claimed.
 """
 
 import json
@@ -27,10 +23,9 @@ import pytest
 from repro.core import QATK, QatkConfig
 from repro.data import GeneratorConfig, generate_corpus, plan_corpus
 from repro.evaluate import experiment_subset
-from repro.quest import (QuestApp, QuestServer, Role, User, UserStore)
+from repro.quest import Role, User
 from repro.relstore import Database
-from repro.serve import (GatewayConfig, ModelRegistry, ServeGateway,
-                         SnapshotReplicator)
+from repro.serve import GatewayConfig, ServeGateway
 
 #: The five corpus seeds the parity contract is pinned on.
 PARITY_SEEDS = (11, 23, 37, 41, 53)
@@ -144,74 +139,6 @@ def test_override_parity_across_executors(parity_setup):
         assert gw.stats_snapshot()["override_hits"] >= 1
     finally:
         gw.stop(grace=2.0)
-
-
-def test_replica_converges_byte_identical(parity_setup):
-    """A fourth executor joins the parity contract: a *replicated*
-    gateway — its snapshot shipped over HTTP as a full payload, then
-    advanced by a delta — must produce the same ranked bytes as the bare
-    service, before and after a primary write."""
-    seed, service, held = parity_setup
-    refs = [bundle.ref_no for bundle in held]
-    registry = ModelRegistry.from_service(service)
-    primary_gw = ServeGateway(
-        service, GatewayConfig(workers=2, max_queue=64, max_batch_size=8,
-                               drain_grace=2.0, persist=False),
-        registry=registry)
-    users = UserStore()
-    users.add(User("expert", Role.POWER_EXPERT, "Parity Expert"))
-    app = QuestApp(service, users, users.get("expert"), gateway=primary_gw)
-    replica_gw, replicator = None, None
-    try:
-        with QuestServer(app) as server:
-            host, port = server.address
-            replica_registry = ModelRegistry.from_service(service)
-            replica_gw = ServeGateway(
-                service, GatewayConfig(workers=2, max_queue=64,
-                                       max_batch_size=8, drain_grace=2.0,
-                                       persist=False),
-                registry=replica_registry)
-            replicator = SnapshotReplicator(replica_registry,
-                                            f"http://{host}:{port}",
-                                            interval=30.0)
-            assert replicator.poll_once() == "full"
-            baseline = {ref: ranked_bytes(service.suggest(ref,
-                                                          persist=False))
-                        for ref in refs}
-            for ref in refs:
-                assert ranked_bytes(replica_gw.suggest(ref)) == \
-                    baseline[ref], f"seed {seed}: replica diverged on {ref}"
-
-            # a primary write later, the replica catches up via a delta
-            code = service.suggest(refs[0], persist=False).all_codes[0]
-            primary_gw.assign(users.get("expert"), refs[0], code)
-            assert replicator.poll_once() == "delta"
-            assert replica_registry.version == registry.version == 2
-            baseline2 = {ref: ranked_bytes(service.suggest(ref,
-                                                           persist=False))
-                         for ref in refs}
-            for ref in refs:
-                assert ranked_bytes(replica_gw.suggest(ref)) == \
-                    baseline2[ref], \
-                    f"seed {seed}: replica diverged post-write on {ref}"
-
-            # an override pin on the primary reaches the replica on its
-            # next poll and is served byte-identically (source included)
-            pin_ref = refs[2]
-            pin = service.suggest(pin_ref, persist=False).all_codes[0]
-            primary_gw.override(users.get("expert"), pin_ref, pin,
-                                reason="replica parity pin")
-            assert replicator.poll_once() == "delta"
-            pinned_view = replica_gw.suggest(pin_ref)
-            assert pinned_view.source == "override"
-            assert ranked_bytes(pinned_view) == \
-                ranked_bytes(service.suggest(pin_ref, persist=False)), \
-                f"seed {seed}: replica served a different pin on {pin_ref}"
-    finally:
-        if replicator is not None:
-            replicator.stop()
-        if replica_gw is not None:
-            replica_gw.stop(grace=2.0)
 
 
 def test_duplicate_refs_agree_within_one_batch(parity_setup):

@@ -1,10 +1,10 @@
-"""ModelRegistry snapshot swaps, bumps and retained payloads."""
+"""ModelRegistry snapshot swaps and bumps."""
 
 import threading
 
 import pytest
 
-from repro.serve import ModelRegistry, ModelSnapshot, SnapshotPayloadError
+from repro.serve import ModelRegistry, ModelSnapshot
 
 
 def snapshot(version=1, classifier="clf", baseline="freq", fallback=None):
@@ -45,34 +45,6 @@ class TestModelRegistry:
         registry = ModelRegistry(snapshot(fallback="bow"))
         published = registry.swap(classifier="clf2")
         assert published.fallback_classifier == "bow"
-
-    def test_install_adopts_foreign_snapshot_verbatim(self):
-        """install() publishes a replicated snapshot under *its own*
-        version (the primary's), unlike swap() which re-versions."""
-        registry = ModelRegistry(snapshot(version=1))
-        replicated = snapshot(version=7, classifier="primary-clf")
-        installed = registry.install(replicated)
-        assert installed is replicated
-        assert registry.current() is replicated
-        assert registry.version == 7
-
-    def test_payload_retention_is_a_bounded_lru(self):
-        registry = ModelRegistry(snapshot(), retain_payloads=2)
-        for version in (1, 2, 3):
-            registry.retain_payload({"format": 1, "kind": "full",
-                                     "version": version})
-        assert registry.retained_versions() == (2, 3)
-        assert registry.retained_payload(1) is None
-        # touching 2 makes it most-recent, so retaining 4 evicts 3
-        assert registry.retained_payload(2)["version"] == 2
-        registry.retain_payload({"format": 1, "kind": "full", "version": 4})
-        assert registry.retained_versions() == (2, 4)
-
-    def test_retain_refuses_non_full_payloads(self):
-        registry = ModelRegistry(snapshot())
-        with pytest.raises(SnapshotPayloadError):
-            registry.retain_payload({"format": 1, "kind": "delta",
-                                     "version": 2})
 
     def test_readers_never_see_a_torn_snapshot(self):
         """Concurrent swaps: every observed snapshot is internally

@@ -45,14 +45,6 @@ REQUIRED = {
     "keepalive_speedup": ((int, float), 0.0),
     "per_request_p95_ms": ((int, float), 0.0),
     "keepalive_p95_ms": ((int, float), 0.0),
-    # replication phase (A9: read scale-out across replica processes)
-    "repl_requests": (int, 1),
-    "repl_clients": (int, 1),
-    "replica_count": (int, 1),
-    "single_gateway_rps": ((int, float), 0.0),
-    "replicated_rps": ((int, float), 0.0),
-    "replication_speedup": ((int, float), 0.0),
-    "replica_write_visibility_seconds": ((int, float), 0.0),
     # triage phase (A10: confidence scoring priced vs a plain suggest);
     # the overhead can legitimately be negative (timer noise on a
     # near-free computation), so its lower bound is a loose sanity rail.
@@ -82,7 +74,6 @@ REQUIRED = {
 #: merely suspicious, not structurally invalid).
 _PERCENTILE_KEYS = ("p50_ms", "p95_ms", "p99_ms",
                     "per_request_p95_ms", "keepalive_p95_ms",
-                    "replica_write_visibility_seconds",
                     "mvcc_idle_p95_ms", "mvcc_writer_p95_ms",
                     "aio_read_p95_ms", "threaded_read_p95_ms")
 
@@ -90,10 +81,6 @@ _PERCENTILE_KEYS = ("p50_ms", "p95_ms", "p99_ms",
 #: bench fails before writing a payload below it, so a violation here
 #: means the JSON was edited or stale).
 KEEPALIVE_SPEEDUP_FLOOR = 1.5
-
-#: A9's per-node scaling floor (mirrors bench_serving.py); checked only
-#: when the payload claims the floor was enforced on its host.
-REPLICATION_FLOOR_PER_NODE = 0.6
 
 #: A10's ceiling on confidence scoring's cost relative to a plain
 #: suggest, in percent (mirrors bench_serving.py's assertion).
@@ -148,19 +135,6 @@ def check(path: Path) -> list[str]:
             and ka_speedup < KEEPALIVE_SPEEDUP_FLOOR):
         problems.append(f"{path}: keepalive_speedup {ka_speedup!r} below "
                         f"the {KEEPALIVE_SPEEDUP_FLOOR}x floor")
-    repl_speedup = payload.get("replication_speedup")
-    replica_count = payload.get("replica_count")
-    if (payload.get("replication_floor_enforced")
-            and isinstance(repl_speedup, (int, float))
-            and not isinstance(repl_speedup, bool)
-            and isinstance(replica_count, int)
-            and not isinstance(replica_count, bool)):
-        floor = REPLICATION_FLOOR_PER_NODE * (replica_count + 1)
-        if repl_speedup < floor:
-            problems.append(
-                f"{path}: replication_speedup {repl_speedup!r} below the "
-                f"{floor}x floor ({REPLICATION_FLOOR_PER_NODE} per node x "
-                f"{replica_count + 1} nodes) claimed enforced on this host")
     overhead = payload.get("confidence_overhead_pct")
     if (isinstance(overhead, (int, float)) and not isinstance(overhead, bool)
             and overhead > CONFIDENCE_OVERHEAD_CEILING_PCT):
