@@ -49,9 +49,11 @@ test-triage:
 
 # The MVCC battery on its own: the isolation-anomaly suite (dirty
 # read, non-repeatable read, lost update, write skew), WAL framing +
-# group commit, multi-row statements (one commit, all or nothing, one
-# WAL frame, torn-frame recovery), and the seeded mid-transaction crash
-# scenarios.
+# group commit and the record-encoding oracle (one-pass records equal
+# the two-pass reference byte for byte), multi-row statements (one
+# commit, all or nothing, one WAL frame, torn-frame recovery, read views
+# under forced seal/unlink/GC interleavings), and the seeded
+# mid-transaction crash scenarios.
 test-mvcc:
 	$(PYTHON) -m pytest tests/relstore/test_mvcc_anomalies.py tests/relstore/test_wal.py tests/relstore/test_statements.py -q
 	$(PYTHON) -m pytest tests/relstore/test_mvcc_crash.py -q -m faults

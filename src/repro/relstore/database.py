@@ -80,7 +80,9 @@ class Database:
             return
         txn = self._mvcc.current_txn()
         if txn is not None:
-            txn.ops.extend(dict(op) for op in ops)
+            # Every caller builds its op dicts fresh per statement and
+            # keeps no reference, so the buffer owns them uncopied.
+            txn.ops.extend(ops)
         elif len(ops) > 1 and self._journal_many is not None:
             self._journal_framed(Transaction.next_id(), ops)
         else:

@@ -104,11 +104,12 @@ class Transaction:
                     f"row {row_id} of table {table.name!r} was committed at "
                     f"csn {committed_csn}, after this transaction's snapshot "
                     f"(csn {self.read_csn}); first committer wins")
-            if before is not None or committed_csn:
-                table._versions.setdefault(row_id, []).append(
-                    (committed_csn, before))
-                chain_appended = True
-            table._dirty.add(row_id)
+            with table._mvcc.lock:  # atomic with a GC pass's checks
+                if before is not None or committed_csn:
+                    table._versions.setdefault(row_id, []).append(
+                        (committed_csn, before))
+                    chain_appended = True
+                table._dirty.add(row_id)
         self.undo.append((_ROW, table, row_id, before, first, chain_appended))
 
     def conflict_check(self, table: "Table", row_id: int) -> None:
@@ -148,13 +149,14 @@ def replay_undo(entries: list[tuple[Any, ...]]) -> None:
             if table._restore_row(row_id, before):
                 unsorted.add(table)
         if first:
-            if chain_appended:
-                chain = table._versions.get(row_id)
-                if chain:
-                    chain.pop()
-                    if not chain:
-                        del table._versions[row_id]
-            table._dirty.discard(row_id)
+            with table._mvcc.lock:  # atomic with a GC pass's checks
+                if chain_appended:
+                    chain = table._versions.get(row_id)
+                    if chain:
+                        chain.pop()
+                        if not chain:
+                            del table._versions[row_id]
+                table._dirty.discard(row_id)
             table._mutations += 1
     for table in unsorted:
         table._sort_rows()
@@ -306,7 +308,9 @@ class MvccState:
         #: Held by the running GC pass; a second pass skips, because two
         #: passes would both ``del`` the same version chain.
         self._gc_pass = threading.Lock()
-        #: Version-chain entries created since the last GC pass.
+        #: Roughly the chain entries and CSN stamps a GC pass could
+        #: reclaim; a pass starts when it is non-zero, and a pass with
+        #: no pin zeroes it.
         self._garbage = 0
         self._commits = 0
 
@@ -493,30 +497,34 @@ class MvccState:
     # ------------------------------------------------------------------ #
     # garbage collection
 
-    def watermark(self) -> int:
-        """The oldest pinned snapshot CSN (== latest CSN with no pins)."""
-        with self.lock:
-            return min(self._pins.values()) if self._pins else self.csn
-
     def gc(self) -> int:
         """Prune version chains invisible to every pinned snapshot.
 
         Returns the number of chain entries discarded.  Safe to run
         concurrently with readers: chains are replaced wholesale, never
-        mutated in place, and only entries below the watermark go.
-        Passes are serialized: a call that finds one already running
-        skips its own and returns 0 (concurrent ``unpin`` calls each
-        start a pass; one is enough).
+        mutated in place, and only entries below the watermark go.  The
+        pass holds :attr:`lock`, as claims and seals do, so a chain
+        entry or CSN stamp cannot arrive between its check of a row and
+        its deletion.  Passes are serialized: a call that finds one
+        already running skips its own and returns 0 (concurrent
+        ``unpin`` calls each start a pass; one is enough).
         """
         if not self._gc_pass.acquire(blocking=False):
             return 0
         try:
-            watermark = self.watermark()
-            pruned = 0
-            for table in self._tables():
-                pruned += table._gc_versions(watermark)
             with self.lock:
-                self._garbage = max(0, self._garbage - pruned)
+                # The oldest pinned snapshot (the latest CSN with no pins).
+                watermark = min(self._pins.values()) if self._pins else self.csn
+                pruned = 0
+                for table in self._tables():
+                    pruned += table._gc_versions(watermark)
+                # With no pin, every committed version is reclaimable and
+                # is gone now; an in-flight statement's marks wait for a
+                # later pass.  (``pruned`` counts chain entries, not CSN
+                # stamps, so subtracting it alone left the count above
+                # zero for good and every unpin ran a pass.)
+                self._garbage = (max(0, self._garbage - pruned)
+                                 if self._pins else 0)
             return pruned
         finally:
             self._gc_pass.release()

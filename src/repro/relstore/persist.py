@@ -162,7 +162,7 @@ def _quarantine(directory: Path, report: RecoveryReport, source: str,
         # Recovery must be idempotent on disk: damage that cannot be
         # scrubbed from its source file (table rows) is re-*reported* on
         # every open but appended to the quarantine file only once.
-        for line in quarantine_path.read_text(encoding="utf-8").splitlines():
+        for line in quarantine_path.read_text(encoding="utf-8").split("\n"):
             try:
                 if json.loads(line) == entry:
                     return
@@ -387,7 +387,8 @@ def _load_table_file(directory: Path, table: Table, entry: dict[str, Any],
                        and zlib.crc32(raw.encode("utf-8")) != expected_digest)
     loaded = 0
     damaged = 0
-    for line_number, line in enumerate(raw.splitlines(), start=1):
+    # "\n" only, as in WAL replay: stored text may hold U+2028 and kin.
+    for line_number, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         problem = _load_row_line(table, line, version)

@@ -502,13 +502,14 @@ class Table:
     def _gc_versions(self, watermark: int) -> int:
         """Prune version-chain entries no pinned snapshot can reach.
 
-        Called by :meth:`MvccState.gc` with the oldest pinned CSN.  For
-        each chain, keep the suffix starting at the last entry at or
-        below the watermark (the base value some pin may still need);
-        drop the chain (and the CSN stamp) entirely when the current row
-        state itself is old enough for every pin.  Chains are replaced,
-        never mutated, so concurrent readers keep iterating a
-        consistent list.  Returns the number of entries pruned.
+        Called by :meth:`MvccState.gc`, under its lock, with the oldest
+        pinned CSN.  For each chain, keep the suffix starting at the
+        last entry at or below the watermark (the base value some pin
+        may still need); drop the chain (and the CSN stamp) entirely
+        when the current row state itself is old enough for every pin.
+        Chains are replaced, never mutated, so concurrent readers keep
+        iterating a consistent list.  Returns the number of entries
+        pruned.
         """
         pruned = 0
         for row_id in list(self._versions):
@@ -567,7 +568,12 @@ class Table:
 
         Optimistic: reads are validated against the writer-only
         ``_mutations`` stamp and retried on interference, so a torn
-        in-place write can never leak into a snapshot.
+        in-place write can never leak into a snapshot.  A writer bumps
+        that stamp only after its change, so a heap read is also
+        re-validated against the row's own marks: a writer claims (marks
+        dirty) before it changes ``_rows`` and stamps the CSN before it
+        clears the mark, so a row still clean and equally stamped after
+        the read was read as committed.
         """
         while True:
             stamp = self._mutations
@@ -579,6 +585,9 @@ class Table:
                     result = self._chain_visible(row_id, snapshot)
                 else:
                     result = self._rows.get(row_id)
+                    if (row_id in self._dirty
+                            or self._row_csn.get(row_id, 0) != csn):
+                        continue
             if self._mutations == stamp:
                 return result
 
@@ -651,11 +660,15 @@ class Table:
         and rows with uncommitted in-place writes — their snapshot value
         may match a key even though their current value does not.
         Callers re-check the predicate against the visible record.
+
+        ``_dirty`` is read before ``_row_csn``: a seal stamps the CSN
+        and then clears the dirty mark, so a row unlinked before the
+        probe is in one of the two whenever its seal lands between them.
         """
         candidates = self._probe(index, keys)
+        candidates.update(self._dirty)
         candidates.update(row_id for row_id, csn in list(self._row_csn.items())
                           if csn > snapshot)
-        candidates.update(self._dirty)
         for row_id in candidates:
             row = self._read_visible(txn, snapshot, row_id)
             if row is not None:

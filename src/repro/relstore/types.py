@@ -120,10 +120,13 @@ class Column:
     type: ColumnType
     nullable: bool = True
     default: Any = NO_DEFAULT
+    _stored_as: type | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
             raise SchemaError(f"column name {self.name!r} is not a valid identifier")
+        # Frozen, so the stored type is looked up once, not per value.
+        object.__setattr__(self, "_stored_as", _STORED_AS.get(self.type))
 
     @property
     def has_default(self) -> bool:
@@ -140,7 +143,7 @@ class Column:
             if not self.nullable:
                 raise SchemaError(f"column {self.name!r} is NOT NULL")
             return None
-        if type(value) is _STORED_AS.get(self.type):
+        if type(value) is self._stored_as:
             return value  # already the stored type: nothing to coerce
         try:
             return coerce_value(value, self.type)

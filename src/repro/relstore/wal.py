@@ -44,10 +44,16 @@ TXN_BEGIN = "txn_begin"
 TXN_COMMIT = "txn_commit"
 
 
+#: One encoder for every canonical serialization: ``json.dumps`` with
+#: options builds a new ``JSONEncoder`` per call.  ``encode`` keeps no
+#: state between calls, so threads share it.
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                              separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """The canonical serialization CRCs are computed over."""
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def checksum(payload: Any) -> int:
@@ -56,8 +62,15 @@ def checksum(payload: Any) -> int:
 
 
 def encode_record(op: dict[str, Any]) -> str:
-    """Serialize one WAL record (without trailing newline)."""
-    return canonical_json({"crc": checksum(op), "op": op})
+    """Serialize one WAL record (without trailing newline).
+
+    The op is serialized once: its canonical text is both what the CRC
+    covers and what the envelope embeds.  With sorted keys ("crc" before
+    "op") and compact separators this is byte for byte
+    ``canonical_json({"crc": checksum(op), "op": op})``.
+    """
+    text = _CANONICAL.encode(op)
+    return '{"crc":%d,"op":%s}' % (zlib.crc32(text.encode("utf-8")), text)
 
 
 @dataclass(frozen=True)
@@ -296,7 +309,10 @@ def replay_wal_file(path: str | Path) -> WalReplay:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise WalError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    # Split on the "\n" the writer ends records with, not splitlines():
+    # unescaped text (ensure_ascii=False) may hold U+0085, U+2028 or
+    # U+2029, which splitlines() would also break a record at.
+    lines = text.split("\n")
     last_content = 0
     for number, line in enumerate(lines, start=1):
         if line.strip():

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.relstore import (Database, QueryError, Schema,
                             TransactionConflictError, TransactionError, col)
+from repro.relstore.table import Table
 
 SCHEMA = [("k", "text"), ("n", "integer")]
 
@@ -444,6 +445,25 @@ class TestReadView:
         db.vacuum()
         assert db.mvcc_stats()["version_entries"] == 0
         assert table.get(row_id)["n"] == 4
+
+    def test_a_pass_with_no_pin_leaves_nothing_to_collect(self, monkeypatch):
+        """A commit counts its CSN stamps as garbage, but a pass took off
+        only the chain entries it pruned, so the count never went back
+        to zero and every read view's exit ran a full pass."""
+        db = make_db()
+        table = db.table("t")
+        with db.transaction():
+            table.insert({"k": "a", "n": 1})
+        passes = []
+        original = Table._gc_versions
+        monkeypatch.setattr(Table, "_gc_versions", lambda self, watermark: (
+            passes.append(watermark), original(self, watermark))[1])
+        for _ in range(3):
+            with db.read_view():
+                assert rows_by_k(table) == {"a": 1}
+        assert passes == []
+        assert db._mvcc._garbage == 0
+        assert db.mvcc_stats()["version_entries"] == 0
 
     def test_concurrent_gc_passes_do_not_delete_a_chain_twice(self):
         """Regression: two GC passes (each ``unpin`` may start one) both

@@ -133,6 +133,39 @@ class TestCorruptionRecovery:
         assert entries[0]["raw"]  # the torn bytes are kept for forensics
 
 
+# Characters str.splitlines() breaks a line at that JSON leaves
+# unescaped under ensure_ascii=False; a record holds them verbatim.
+UNESCAPED_LINE_BREAKS = ["\x85", "\u2028", "\u2029"]
+
+
+class TestUnicodeLineBreaksInText:
+    """Stored text may hold a line break that is not "\\n" (messy report
+    text often does); the record it is in must survive a reopen."""
+
+    @pytest.mark.parametrize("brk", UNESCAPED_LINE_BREAKS)
+    def test_row_survives_wal_replay(self, tmp_path, brk):
+        directory = tmp_path / "store"
+        db, _ = open_database(directory)
+        table = db.create_table("t", Schema.build(SCHEMA))
+        table.insert({"k": f"Kühler{brk}undicht", "n": 1})
+        table.insert({"k": "plain", "n": 2})
+        db._wal.close()
+        reopened, report = open_database(directory)
+        assert table_state(reopened) == table_state(db)
+        assert report.clean
+        reopened._wal.close()
+
+    @pytest.mark.parametrize("brk", UNESCAPED_LINE_BREAKS)
+    def test_row_survives_snapshot_reload(self, tmp_path, brk):
+        directory = tmp_path / "store"
+        db = snapshot_with_rows(directory, [{"k": f"Öl{brk}stand", "n": 1},
+                                            {"k": "plain", "n": 2}])
+        reopened, report = recover_database(directory)
+        assert table_state(reopened) == table_state(db)
+        assert report.clean
+        assert table_state(load_database(directory)) == table_state(db)
+
+
 class TestWalRecovery:
     def test_wal_ops_survive_reopen_without_snapshot(self, tmp_path):
         directory = tmp_path / "store"

@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 from repro.relstore import (ALWAYS, Database, IntegrityError, SchemaError,
                             TransactionConflictError, TransactionError, col,
                             open_database)
+from repro.relstore.mvcc import _WriteTicket
 from repro.relstore.predicate import Lambda
 from repro.relstore.table import Table
 from repro.relstore.types import Schema
@@ -494,6 +495,177 @@ def test_read_view_never_sees_part_of_a_statement():
     assert failures == []
     assert min(len(states) for states in seen) >= 20
     assert table.count() == size
+
+
+def held_seals(monkeypatch):
+    """Make every autocommit seal wait until ``go`` is set; ``at`` is set
+    once a statement has claimed and changed its rows and waits to seal."""
+    at, go = threading.Event(), threading.Event()
+    original = _WriteTicket.seal
+
+    def seal(ticket, table):
+        at.set()
+        assert go.wait(timeout=30)
+        original(ticket, table)
+
+    monkeypatch.setattr(_WriteTicket, "seal", seal)
+    return at, go
+
+
+def test_index_read_sees_a_row_whose_delete_seals_mid_read(monkeypatch):
+    """A delete unlinks its row before a view's index probe and seals
+    while the view collects the rows the index may no longer show (dirty
+    rows, rows stamped after the snapshot).  A seal stamps the CSN, then
+    clears the dirty mark, so reading the stamps first and the dirty
+    marks second missed the row; here the seal is forced to land while
+    the reader reads the stamps."""
+    db = Database("seal")
+    table = db.create_table("t", SCHEMA)
+    table.create_index("ix_part", "part")
+    table.insert_many({"k": str(i), "part": "p", "n": i} for i in range(3))
+    at_seal, go_seal = held_seals(monkeypatch)
+    sealed, reader = threading.Event(), threading.get_ident()
+
+    class SealingStamps(dict):
+        """CSN stamps whose first read by the reader lets the seal land."""
+
+        def items(self):
+            items = list(super().items())
+            if threading.get_ident() == reader and not go_seal.is_set():
+                go_seal.set()
+                assert sealed.wait(timeout=30)
+            return items
+
+    table._row_csn = SealingStamps(table._row_csn)
+
+    def delete():
+        table.delete(col("n") == 1)
+        sealed.set()
+
+    with db.read_view():
+        deleter = threading.Thread(target=delete)
+        deleter.start()
+        assert at_seal.wait(timeout=30)
+        found = table.row_ids_where(col("part") == "p")
+        go_seal.set()
+        deleter.join(timeout=30)
+        assert sealed.is_set()
+        assert len(found) == 3
+        assert table.group_count("part") == {"p": 3}
+    assert table.group_count("part") == {"p": 2}
+
+
+def test_view_read_sees_a_row_whose_delete_unlinks_mid_read(monkeypatch):
+    """A view reads a row that is neither dirty nor stamped after its
+    snapshot from the heap.  A delete that claims and unlinks the row
+    between those checks and the heap read, and has not yet bumped the
+    table's change stamp, made the read return nothing.  The delete is
+    forced to run there and to hold inside its index removal while the
+    read finishes."""
+    db = Database("unlink")
+    table = db.create_table("t", SCHEMA)
+    table.create_index("ix_part", "part")
+    [row_id] = table.insert_many([{"k": "a", "part": "p", "n": 0}])
+    index = table.indexes["ix_part"]
+    unlinking, release = threading.Event(), threading.Event()
+    reader = threading.get_ident()
+    original_remove = index.remove
+
+    def remove(*args):
+        unlinking.set()
+        assert release.wait(timeout=30)
+        original_remove(*args)
+
+    monkeypatch.setattr(index, "remove", remove)
+    deleter = threading.Thread(target=table.delete_row, args=(row_id,))
+
+    class DeletingRows(dict):
+        """Heap rows whose first read by the reader runs the delete up
+        to its index removal."""
+
+        def get(self, key, default=None):
+            if threading.get_ident() == reader and not deleter.ident:
+                deleter.start()
+                assert unlinking.wait(timeout=30)
+            return super().get(key, default)
+
+    table._rows = DeletingRows(table._rows)
+    try:
+        with db.read_view():
+            row = table.get(row_id)
+            release.set()
+            deleter.join(timeout=30)
+            assert not deleter.is_alive()
+            assert row["k"] == "a"
+        assert table.count() == 0
+    finally:
+        release.set()
+
+
+@pytest.mark.parametrize("in_transaction", [False, True],
+                         ids=["autocommit", "transaction"])
+def test_gc_pass_keeps_a_chain_entry_a_claim_appends(monkeypatch,
+                                                     in_transaction):
+    """A GC pass checks a row (not dirty, stamped at or below the
+    watermark) and then deletes its version chain.  A delete that claims
+    the row between the two appends the value a pinned view still needs;
+    deleting the chain then lost it, and the view missed the row.  The
+    pass is paused right after its dirty check until the delete has
+    claimed (or 0.5 s went by, as when the pass holds the lock the
+    claim needs)."""
+    db = Database("gc")
+    table = db.create_table("t", SCHEMA)
+    [row_id] = table.insert_many([{"k": "a", "part": "p", "n": 0}])
+    state = db._mvcc
+    old, _ = state.pin()
+    table.update(row_id, {"n": 1})  # a chain entry; the stamp is current
+    current, _ = state.pin()  # keeps unpin from starting a pass
+    state.unpin(old)
+    at_seal, go_seal = held_seals(monkeypatch)
+    ready, proceed = threading.Event(), threading.Event()
+    gc_thread = threading.Thread(target=db.vacuum)
+
+    def delete():
+        if in_transaction:
+            db.begin()
+        ready.set()
+        assert proceed.wait(timeout=30)
+        table.delete_row(row_id)
+        if in_transaction:
+            db.commit()
+
+    deleter = threading.Thread(target=delete)
+
+    class PausingDirty(set):
+        """Dirty marks whose first check by the GC pass lets the delete
+        claim, and waits for it."""
+
+        def __contains__(self, item):
+            found = super().__contains__(item)
+            if (threading.current_thread() is gc_thread
+                    and not proceed.is_set()):
+                proceed.set()
+                at_seal.wait(timeout=0.5)
+            return found
+
+    table._dirty = PausingDirty(table._dirty)
+    try:
+        with db.read_view():
+            deleter.start()
+            assert ready.wait(timeout=30)
+            gc_thread.start()
+            gc_thread.join(timeout=30)
+            assert proceed.is_set()  # the pass reached the row
+            go_seal.set()
+            deleter.join(timeout=30)
+            assert not deleter.is_alive() and not gc_thread.is_alive()
+            assert table.select(col("part") == "p") == [
+                {"k": "a", "part": "p", "tags": None, "n": 1}]
+        assert table.count() == 0
+    finally:
+        go_seal.set()
+        proceed.set()
+        state.unpin(current)
 
 
 # --------------------------------------------------------------------- #

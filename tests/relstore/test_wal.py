@@ -1,11 +1,18 @@
 """Unit tests for the write-ahead log and Database journaling."""
 
 import json
+import math
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relstore import Database, Schema, WriteAheadLog
-from repro.relstore.wal import encode_record, replay_wal_file
+from repro.relstore.wal import (canonical_json, checksum, encode_record,
+                                replay_wal_file, rewrite_wal_file)
 
 
 def make_db():
@@ -70,6 +77,61 @@ class TestWalFile:
         record = json.loads((tmp_path / "wal.jsonl").read_text("utf-8"))
         assert set(record) == {"crc", "op"}
         assert isinstance(record["crc"], int)
+
+
+def reference_record(op):
+    """The two-pass record encoding every earlier log was written in:
+    the CRC of the op's canonical JSON, then the canonical JSON of the
+    ``{"crc", "op"}`` envelope."""
+    options = {"sort_keys": True, "ensure_ascii": False,
+               "separators": (",", ":")}
+    crc = zlib.crc32(json.dumps(op, **options).encode())
+    return json.dumps({"crc": crc, "op": op}, **options)
+
+
+# Text without lone surrogates (not encodable as UTF-8, so not loggable),
+# plus umlauts and characters outside the Basic Multilingual Plane.
+wal_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=12) | \
+    st.sampled_from(["Kühlmittel", "Öldruck zu hoch", "Straße", "\U0001F527",
+                     "Ventil \U00010348 \U0001D11E"])
+wal_scalars = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from([-0.0, 1e300, -1e-300, math.nan])
+               | wal_text)
+wal_values = st.recursive(
+    wal_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(wal_text, children, max_size=4),
+    max_leaves=12)
+wal_ops = st.builds(lambda kind, fields: {**fields, "op": kind},
+                    st.sampled_from(["insert", "update", "delete", "clear",
+                                     "txn_begin", "txn_commit"]),
+                    st.dictionaries(wal_text, wal_values, max_size=5))
+
+
+class TestRecordEncodingOracle:
+    """``encode_record`` writes each record in one serialization pass;
+    its bytes must equal the two-pass reference, so logs written before
+    and after read the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wal_ops)
+    def test_record_bytes_equal_the_two_pass_reference(self, op):
+        line = encode_record(op)
+        assert line == reference_record(op)
+        assert canonical_json({"crc": checksum(op), "op": op}) == line
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "wal.jsonl"
+            with WriteAheadLog(path, sync=False) as wal:
+                wal.append(op)
+            assert path.read_text("utf-8") == line + "\n"
+            replay = replay_wal_file(path)
+            assert not replay.bad_records
+            [back] = replay.records
+            # NaN != NaN, so compare what the op serializes to.
+            assert canonical_json(back) == canonical_json(op)
+            rewrite_wal_file(path, replay.records, sync=False)
+            assert path.read_text("utf-8") == line + "\n"
 
 
 class TestDatabaseJournal:
