@@ -31,11 +31,13 @@ test-serve:
 # Byte-identical ranked lists: in-process vs gateway vs both transports
 # across 5 seeds, the ranked kNN classifier (counting retrieval, top-k
 # selection, frozen view) against the reference Fig. 5/7 transcription,
-# bag-of-concepts extraction against the offset-keeping matcher, and the
+# bag-of-concepts extraction against the offset-keeping matcher, the
 # Fig. 8 UIMA pipeline (tokenizer engine, CAS features) against the
-# extractor in all four feature modes.
+# extractor in all four feature modes, and ranked-list persistence that
+# skips unchanged lists against "the last list wins" (stored rows, rows
+# written, no WAL record for an unchanged call, recovery).
 test-parity:
-	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py tests/taxonomy/test_concept_oracle.py "tests/core/test_qatk.py::TestPipelineMatchesExtractor" -q
+	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py tests/taxonomy/test_concept_oracle.py "tests/core/test_qatk.py::TestPipelineMatchesExtractor" "tests/classify/test_results.py::TestStoreElisionOracle" -q
 
 # The HTTP transport on its own: webapp routes, the sans-IO HTTP/1.1
 # core, keep-alive wire behavior, and the pooled client.

@@ -88,29 +88,59 @@ def create_recommendation_table(database: Database) -> None:
         table.create_index("ix_reco_ref", "ref_no")
 
 
+def recommendation_rows(recommendation: Recommendation) -> list[dict]:
+    """The stored rows of one ranked list, in rank order (rank 1 first)."""
+    return [
+        {
+            "ref_no": recommendation.ref_no,
+            "error_code": scored.error_code,
+            "score": scored.score,
+            "rank": rank,
+            "support": scored.support,
+            "pool_size": recommendation.pool_size,
+            "winner_nodes": recommendation.winner_nodes,
+            "part_known": recommendation.part_known,
+        }
+        for rank, scored in enumerate(recommendation.codes, start=1)]
+
+
+def recommendation_from_rows(ref_no: str, part_id: str,
+                             rows: list[dict]) -> Recommendation:
+    """The ranked list that *rows* (one ref's stored rows, ordered by
+    rank, at least one) store; the inverse of :func:`recommendation_rows`."""
+    head = rows[0]
+    return Recommendation(
+        ref_no=ref_no, part_id=part_id,
+        codes=[ScoredCode(row["error_code"], row["score"], row["support"])
+               for row in rows],
+        pool_size=head.get("pool_size", 0),
+        winner_nodes=head.get("winner_nodes", 0),
+        part_known=head.get("part_known", True))
+
+
 def store_recommendations(database: Database,
                           recommendations: Iterable[Recommendation]) -> int:
-    """Persist ranked recommendations; returns the number of rows written."""
+    """Persist ranked recommendations; returns the number of rows written.
+
+    A list whose rows are already stored exactly (same count, rank
+    order and values in every column) is left alone: it writes nothing,
+    journals nothing and counts 0 rows.  Any other list replaces the
+    ref's stored rows.
+    """
     create_recommendation_table(database)
     table = database.table("recommendations")
-    rows = 0
-    # Two statements per list, in call order, so a ref given twice keeps
-    # its last list.
+    written = 0
+    # In call order, each list compared against what the caller sees
+    # (its own transaction's writes included), so a ref given twice
+    # keeps its last list.
     for recommendation in recommendations:
-        table.delete(col("ref_no") == recommendation.ref_no)
-        rows += len(table.insert_many(
-            {
-                "ref_no": recommendation.ref_no,
-                "error_code": scored.error_code,
-                "score": scored.score,
-                "rank": rank,
-                "support": scored.support,
-                "pool_size": recommendation.pool_size,
-                "winner_nodes": recommendation.winner_nodes,
-                "part_known": recommendation.part_known,
-            }
-            for rank, scored in enumerate(recommendation.codes, start=1)))
-    return rows
+        rows = recommendation_rows(recommendation)
+        same_ref = col("ref_no") == recommendation.ref_no
+        if table.select(same_ref, order_by="rank") == rows:
+            continue
+        table.delete(same_ref)
+        written += len(table.insert_many(rows))
+    return written
 
 
 def load_recommendation(database: Database, ref_no: str,
@@ -122,11 +152,4 @@ def load_recommendation(database: Database, ref_no: str,
         col("ref_no") == ref_no, order_by="rank")
     if not rows:
         return None
-    codes = [ScoredCode(row["error_code"], row["score"], row["support"])
-             for row in rows]
-    head = rows[0]
-    return Recommendation(
-        ref_no=ref_no, part_id=part_id, codes=codes,
-        pool_size=head.get("pool_size", 0),
-        winner_nodes=head.get("winner_nodes", 0),
-        part_known=head.get("part_known", True))
+    return recommendation_from_rows(ref_no, part_id, rows)

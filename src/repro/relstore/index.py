@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
-from .errors import IntegrityError
+from .errors import IntegrityError, SchemaError
 
 
 class BaseIndex:
@@ -46,6 +46,11 @@ class BaseIndex:
     def clear(self) -> None:
         """Drop all entries."""
         raise NotImplementedError
+
+    def check_batch(self, rows: Iterable[tuple[int, Any]]) -> None:
+        """Raise before any change if :meth:`add` would refuse one of
+        the ``(row_id, value)`` pairs in *rows*; a plain hash index
+        takes any value."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} on {self.column!r}>"
@@ -158,6 +163,19 @@ class InvertedIndex(BaseIndex):
             return
         for element in value:
             self._entries.setdefault(element, set()).add(row_id)
+
+    def check_batch(self, rows: Iterable[tuple[int, Any]]) -> None:
+        """Raise SchemaError if a list value in *rows* holds an element
+        that cannot be a key (a nested list or object)."""
+        for _, value in rows:
+            if not isinstance(value, (list, tuple)):
+                continue
+            try:
+                hash(tuple(value))  # hashes every element, as add needs
+            except TypeError:
+                raise SchemaError(
+                    f"inverted index {self.name!r} on {self.column!r} "
+                    f"cannot key every element of {value!r}") from None
 
     def remove(self, row_id: int, value: Any) -> None:
         if not isinstance(value, (list, tuple)):

@@ -108,7 +108,9 @@ class Table:
                 the value itself.  Mutually exclusive with *unique*.
 
         Raises:
-            SchemaError: on unknown column or duplicate index name.
+            SchemaError: on unknown column or duplicate index name, or
+                when an inverted index meets a list element that cannot
+                be a key (a nested list or object); no index is added.
             IntegrityError: if a unique index finds existing duplicates.
         """
         if index_name in self._indexes:
@@ -123,6 +125,8 @@ class Table:
         else:
             index = HashIndex(index_name, column)
         position = self.schema.index_of(column)
+        index.check_batch((row_id, row[position])
+                          for row_id, row in self._rows.items())
         for row_id, row in self._rows.items():
             index.add(row_id, row[position])
         self._indexes[index_name] = index
@@ -188,7 +192,8 @@ class Table:
                 reopens); must not collide with a live row.
 
         Raises:
-            SchemaError: on schema violations.
+            SchemaError: on schema violations, or a list element an
+                inverted index cannot hold.
             IntegrityError: on unique-index violations or a duplicate
                 explicit *row_id* (no partial effects).
         """
@@ -228,14 +233,14 @@ class Table:
                 if row_id in self._rows:
                     raise IntegrityError(
                         f"row id {row_id} already exists in table {self.name!r}")
-            # Refuse a duplicate key before linking any row, so a refused
-            # statement never puts a row where a lock-free reader sees it.
+            # Refuse a duplicate key or an unindexable element before
+            # linking any row, so a refused statement never puts a row
+            # where a lock-free reader sees it, nor a key in an index.
             for index in self._indexes.values():
-                if isinstance(index, UniqueIndex):
-                    position = self.schema.index_of(index.column)
-                    index.check_batch(
-                        (new_id, row[position])
-                        for new_id, row in enumerate(rows, start=row_id))
+                position = self.schema.index_of(index.column)
+                index.check_batch(
+                    (new_id, row[position])
+                    for new_id, row in enumerate(rows, start=row_id))
             for new_id, row in enumerate(rows, start=row_id):
                 ticket.claim(self, new_id, None)
                 self._link(new_id, row)
@@ -256,7 +261,7 @@ class Table:
             ticket.release()
 
     def _link(self, row_id: int, row: tuple[Any, ...]) -> None:
-        """Index and store one claimed row whose unique keys were checked."""
+        """Index and store one claimed row whose index keys were checked."""
         for index in self._indexes.values():
             index.add(row_id, row[self.schema.index_of(index.column)])
         self._rows[row_id] = row
@@ -327,10 +332,9 @@ class Table:
             if not updates:
                 return 0
             for index in self._indexes.values():
-                if isinstance(index, UniqueIndex):
-                    position = self.schema.index_of(index.column)
-                    index.check_batch((row_id, new_row[position])
-                                      for row_id, _, new_row in updates)
+                position = self.schema.index_of(index.column)
+                index.check_batch((row_id, new_row[position])
+                                  for row_id, _, new_row in updates)
             for row_id, old_row, _ in updates:
                 ticket.claim(self, row_id, old_row)
             # Checked above, so nothing from here on can fail.  Old keys

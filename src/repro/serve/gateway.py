@@ -121,8 +121,11 @@ class ServeGateway:
         # new snapshot.  Keyed by snapshot *identity*, not version number:
         # a snapshot is the object the registry published, so identity
         # names exactly the models a memo entry was computed from.
-        # persisted_refs keeps the batcher from re-writing an identical
-        # recommendation row set for every repeat request per snapshot.
+        # persisted_refs persists each ref once per snapshot.  An unchanged
+        # list would write nothing anyway (store_recommendations compares
+        # first), but a memo-hit read must not re-enqueue a review entry
+        # an engineer accepted or escalated under the same snapshot:
+        # resolve_review bumps the snapshot only for an override.
         self._memo_lock = threading.Lock()
         self._memo_snapshot: ModelSnapshot | None = None
         self._bundle_memo: dict[str, DataBundle] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..classify.results import Recommendation, ScoredCode
+from ..classify.results import recommendation_from_rows
 from ..relstore import Database
 from .confidence import score_confidence
 
@@ -74,14 +74,7 @@ def _stored_confidences(database: Database,
         if part_id is None:
             continue
         rows.sort(key=lambda row: row["rank"])
-        head = rows[0]
-        recommendation = Recommendation(
-            ref_no=ref_no, part_id=part_id,
-            codes=[ScoredCode(row["error_code"], row["score"],
-                              row["support"]) for row in rows],
-            pool_size=head.get("pool_size", 0),
-            winner_nodes=head.get("winner_nodes", 0),
-            part_known=head.get("part_known", True))
+        recommendation = recommendation_from_rows(ref_no, part_id, rows)
         confidences.setdefault(part_id, []).append(
             score_confidence(recommendation).score)
     return confidences

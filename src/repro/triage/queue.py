@@ -72,18 +72,21 @@ class ReviewQueue:
         """Add (or refresh) a review entry for *ref_no*.
 
         At most one open entry exists per ref: re-suggesting a pending
-        bundle updates its confidence in place; a claimed entry is left
-        untouched (an engineer is already on it).  Returns True when an
-        entry was created or refreshed.
+        bundle updates its confidence and part in place (and writes
+        nothing when both are unchanged); a claimed entry is left
+        untouched (an engineer is already on it).  Returns True when the
+        pending entry is now current: created, refreshed or already
+        equal.
         """
         found = self._open_row(ref_no)
         if found is not None:
             rid, row = found
-            if row["status"] == "pending":
+            if row["status"] != "pending":
+                return False
+            if row["confidence"] != confidence or row["part_id"] != part_id:
                 self._table.update(rid, {"confidence": confidence,
                                          "part_id": part_id})
-                return True
-            return False
+            return True
         self._table.insert({
             "ref_no": ref_no,
             "part_id": part_id,

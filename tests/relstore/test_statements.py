@@ -258,6 +258,11 @@ def bad_batches():
             clash_batch = [dict(row) for row in good]
             clash_batch[k]["k"] = clash_batch[0]["k"]
             yield f"unique-in-batch-{k}", clash_batch, IntegrityError
+        # ix_tags cannot key a nested object; the unique and hash
+        # indexes of that row come first in index order.
+        unindexable = [dict(row) for row in good]
+        unindexable[k]["tags"] = ["y", {"x": 1}]
+        yield f"inverted-element-{k}", unindexable, SchemaError
 
 
 @pytest.mark.parametrize("mode", ["autocommit", "pinned", "transaction"])
@@ -308,12 +313,13 @@ class RecordingHeap(dict):
 
 @pytest.mark.parametrize("name,batch,error",
                          [case for case in bad_batches()
-                          if case[2] is IntegrityError],
-                         ids=[name for name, _, error in bad_batches()
-                              if error is IntegrityError])
+                          if not case[0].startswith("schema")],
+                         ids=[name for name, _, _ in bad_batches()
+                              if not name.startswith("schema")])
 def test_refused_insert_many_never_links_a_row(name, batch, error):
     """A lock-free reader outside any view walks the heap; a statement a
-    unique index refuses must not put a row there even for a moment."""
+    unique or inverted index refuses must not put a row there even for a
+    moment."""
     table = seeded_db().table("t")
     table._rows = heap = RecordingHeap(table._rows)
     with pytest.raises(error):
@@ -366,6 +372,12 @@ def bad_updates():
     yield "unique-unmatched", col("n") == 1, {"k": "k3"}, IntegrityError
     yield "unique-null", col("n") == 1, {"k": None}, IntegrityError
     yield "schema", col("n") >= 1, {"n": "not a number"}, SchemaError
+    # Moves every indexed key of the matched rows, so a partial apply
+    # would strand them under both old and new keys.
+    yield ("inverted-element", col("n") >= 1,
+           {"part": "z", "tags": ["y", {"x": 1}]}, SchemaError)
+    yield ("inverted-element-one-row", col("n") == 1,
+           {"k": "z", "part": "z", "tags": ["y", {"x": 1}]}, SchemaError)
 
 
 @pytest.mark.parametrize("mode", ["autocommit", "pinned", "transaction"])
@@ -392,6 +404,21 @@ def test_refused_update_where_changes_nothing(mode, name, predicate,
             table.update_where(predicate, changes)
         assert state(table) == before
         assert db._mvcc.csn == csn
+    assert db.ops == []
+    assert table.check_consistency() == []
+
+
+def test_refused_inverted_index_adds_nothing():
+    db = seeded_db()
+    table = db.table("t")
+    table.drop_index("ix_tags")
+    table.insert({"k": "nested", "part": "p", "tags": ["x", {"y": 1}]})
+    db.ops.clear()
+    before = state(table)
+    with pytest.raises(SchemaError):
+        table.create_index("ix_tags", "tags", inverted=True)
+    assert state(table) == before
+    assert "ix_tags" not in table.indexes
     assert db.ops == []
     assert table.check_consistency() == []
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.quest.errors import UnknownBundleError
-from repro.relstore import Database, IntegrityError
+from repro.relstore import Database, IntegrityError, open_database
 from repro.triage import RESOLUTIONS, ReviewQueue
 
 
@@ -123,3 +123,60 @@ def test_sequence_survives_reconstruction():
     again.enqueue("R3", "P1", 0.2)
     # ties still drain oldest-first across the reconstruction
     assert [row["ref_no"] for row in again.pending()] == ["R1", "R2", "R3"]
+
+
+# ---------------------------------------------------------------------- #
+# refreshing an entry on a WAL-backed database
+
+
+@pytest.fixture
+def wal_queue(tmp_path):
+    database, _ = open_database(tmp_path)
+    queue = ReviewQueue(database)
+    queue.enqueue("R1", "P1", 0.30)
+    yield queue, database._wal
+    database._wal.close()
+
+
+def test_unchanged_refresh_writes_nothing(wal_queue):
+    queue, wal = wal_queue
+    entry = queue.entry("R1")
+    appended, size = wal.appended, wal.path.stat().st_size
+    assert queue.enqueue("R1", "P1", 0.30) is True
+    assert queue.entry("R1") == entry
+    assert (wal.appended, wal.path.stat().st_size) == (appended, size)
+
+
+@pytest.mark.parametrize("part_id,confidence",
+                         [("P1", 0.10), ("P2", 0.30), ("P2", 0.10)])
+def test_changed_refresh_updates_the_entry_in_place(wal_queue, part_id,
+                                                    confidence):
+    queue, wal = wal_queue
+    entry = queue.entry("R1")
+    appended = wal.appended
+    assert queue.enqueue("R1", part_id, confidence) is True
+    assert queue.entry("R1") == dict(entry, part_id=part_id,
+                                     confidence=confidence)
+    assert queue.counts() == {"pending": 1, "claimed": 0, "resolved": 0}
+    assert [op["op"] for op in wal][-1] == "update"
+    assert wal.appended == appended + 1
+
+
+def test_claimed_entry_is_untouched_by_a_refresh(wal_queue):
+    queue, wal = wal_queue
+    claimed = queue.claim("expert", "R1")
+    appended = wal.appended
+    assert queue.enqueue("R1", "P2", 0.05) is False
+    assert queue.entry("R1") == claimed
+    assert wal.appended == appended
+
+
+def test_resolved_entry_gets_a_new_pending_entry(wal_queue):
+    queue, wal = wal_queue
+    resolved = queue.resolve("expert", "R1", "accept")
+    assert queue.enqueue("R1", "P1", 0.30) is True
+    fresh = queue.entry("R1")
+    assert fresh["status"] == "pending"
+    assert fresh["sequence"] > resolved["sequence"]
+    assert queue.counts() == {"pending": 1, "claimed": 0, "resolved": 1}
+    assert [op["op"] for op in wal][-1] == "insert"
