@@ -54,10 +54,12 @@ test-triage:
 # group commit and the record-encoding oracle (one-pass records equal
 # the two-pass reference byte for byte), multi-row statements (one
 # commit, all or nothing, one WAL frame, torn-frame recovery, read views
-# under forced seal/unlink/GC interleavings), and the seeded
-# mid-transaction crash scenarios.
+# under forced seal/unlink/GC interleavings), the SQLite oracle (random
+# scripts of writes, queries, aggregates, transactions and savepoints,
+# each checked against stdlib sqlite3), and the seeded mid-transaction
+# crash scenarios.
 test-mvcc:
-	$(PYTHON) -m pytest tests/relstore/test_mvcc_anomalies.py tests/relstore/test_wal.py tests/relstore/test_statements.py -q
+	$(PYTHON) -m pytest tests/relstore/test_mvcc_anomalies.py tests/relstore/test_wal.py tests/relstore/test_statements.py tests/relstore/test_sqlite_oracle.py -q
 	$(PYTHON) -m pytest tests/relstore/test_mvcc_crash.py -q -m faults
 
 # Line-coverage gate for src/repro/serve/ + src/repro/triage/ +

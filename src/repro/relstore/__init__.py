@@ -3,7 +3,9 @@
 The paper stores raw report data, the knowledge bases and classification
 results in a relational database; this package provides that substrate from
 scratch: typed schemas, heap tables, hash / unique / inverted indexes,
-predicate queries, a small SQL subset and atomic directory persistence.
+predicate queries, grouped aggregates, MVCC transactions and atomic
+directory persistence with a write-ahead log.  This Python API is the
+store's only front door; there is no SQL text interface.
 
 Quickstart:
     >>> from repro.relstore import Database, Schema, col
@@ -17,14 +19,12 @@ Quickstart:
 from .csv_io import export_csv, import_csv, load_csv_into, table_to_csv
 from .database import Database
 from .errors import (CorruptionError, IntegrityError, PersistenceError,
-                     QueryError, RelStoreError, SchemaError, SqlError,
+                     QueryError, RelStoreError, SchemaError,
                      TransactionConflictError, TransactionError, WalError)
 from .index import HashIndex, InvertedIndex, UniqueIndex
-from .join import hash_join
 from .persist import (RecoveryReport, checkpoint, load_database,
                       open_database, recover_database, save_database)
 from .predicate import ALWAYS, Like, Predicate, col
-from .sql import execute, parse, tokenize
 from .table import Table
 from .types import Column, ColumnType, Schema
 from .wal import WriteAheadLog
@@ -46,7 +46,6 @@ __all__ = [
     "RelStoreError",
     "Schema",
     "SchemaError",
-    "SqlError",
     "Table",
     "TransactionConflictError",
     "TransactionError",
@@ -58,13 +57,9 @@ __all__ = [
     "export_csv",
     "import_csv",
     "load_csv_into",
-    "execute",
-    "hash_join",
     "load_database",
     "open_database",
-    "parse",
     "recover_database",
     "save_database",
     "table_to_csv",
-    "tokenize",
 ]

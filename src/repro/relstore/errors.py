@@ -23,10 +23,6 @@ class QueryError(RelStoreError):
     """A query references unknown tables/columns or is otherwise malformed."""
 
 
-class SqlError(RelStoreError):
-    """The SQL text could not be tokenized or parsed."""
-
-
 class TransactionError(RelStoreError):
     """A transaction was misused (e.g. nested begin, commit without begin)."""
 

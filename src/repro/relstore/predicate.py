@@ -14,7 +14,9 @@ Example:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping
 
 Row = Mapping[str, Any]
@@ -79,8 +81,6 @@ class Comparison(Predicate):
     column: str
     op: str
     value: Any
-
-    _OPS: dict[str, Callable[[Any, Any], bool]] = None
 
     def __call__(self, row: Row) -> bool:
         actual = row.get(self.column)
@@ -164,26 +164,26 @@ class Like(Predicate):
     """SQL-style LIKE on a TEXT column: ``%`` any run, ``_`` one char.
 
     Matching is case-insensitive (the pragmatic choice for searching messy
-    report text).
+    report text): pattern and value are both lower-cased with Unicode
+    ``str.lower``, so unlike SQLite's ASCII-only LIKE, ``"Ä"`` matches
+    ``"ä"``.  ``%`` and ``_`` also match newlines.
     """
 
     column: str
     pattern: str
 
+    @cached_property
+    def _regex(self) -> re.Pattern[str]:
+        """The pattern as a regex, compiled once per predicate."""
+        return re.compile("".join(
+            ".*" if char == "%" else "." if char == "_" else re.escape(char)
+            for char in self.pattern.lower()), re.DOTALL)
+
     def __call__(self, row: Row) -> bool:
         value = row.get(self.column)
         if not isinstance(value, str):
             return False
-        return _like_match(self.pattern.lower(), value.lower())
-
-
-def _like_match(pattern: str, text: str) -> bool:
-    """Iterative LIKE matcher (no regex compilation per row)."""
-    import re
-    regex = "".join(
-        ".*" if char == "%" else "." if char == "_" else re.escape(char)
-        for char in pattern)
-    return re.fullmatch(regex, text, re.DOTALL) is not None
+        return self._regex.fullmatch(value.lower()) is not None
 
 
 @dataclass(frozen=True)

@@ -699,7 +699,6 @@ class Table:
         *,
         columns: Sequence[str] | None = None,
         order_by: str | Callable[[dict[str, Any]], Any] | None = None,
-        descending: bool = False,
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
         """Return matching rows as dicts.
@@ -707,8 +706,8 @@ class Table:
         Args:
             predicate: row filter; defaults to all rows.
             columns: project onto these columns (default: all).
-            order_by: column name or key function for sorting.
-            descending: sort direction.
+            order_by: column name or key function for an ascending sort
+                (NULLs last when it is a column name).
             limit: maximum number of rows returned (applied after sorting).
 
         Raises:
@@ -729,10 +728,9 @@ class Table:
                     raise QueryError(f"unknown column {order_by!r} in ORDER BY")
                 sort_column = order_by
                 matches.sort(key=lambda record: (record[sort_column] is None,
-                                                 record[sort_column]),
-                             reverse=descending)
+                                                 record[sort_column]))
             else:
-                matches.sort(key=order_by, reverse=descending)
+                matches.sort(key=order_by)
         if limit is not None:
             matches = matches[:limit]
         if columns is not None:
@@ -874,7 +872,8 @@ class Table:
                 ``count`` (column may be ``"*"``), ``sum``, ``avg``,
                 ``min``, ``max``.
             predicate: row filter.
-            group_by: grouping columns (empty: one global group).
+            group_by: grouping columns (empty: one global group, which
+                is returned even when no row matches, as in SQL).
 
         Returns one dict per group holding the grouping columns plus one
         ``"func(column)"`` key per aggregation.  Groups are sorted by
@@ -896,6 +895,8 @@ class Table:
         for record in self._matching(predicate):
             key = tuple(record[name] for name in group_by)
             groups.setdefault(key, []).append(record)
+        if not group_by and not groups:
+            groups[()] = []
         results = []
         for key in sorted(groups, key=lambda k: tuple(
                 (value is None, value) for value in k)):

@@ -1,8 +1,8 @@
-"""Tests for aggregation, GROUP BY and EXPLAIN."""
+"""Tests for aggregation, grouping and the access-plan view."""
 
 import pytest
 
-from repro.relstore import Database, Schema, SqlError, col, execute
+from repro.relstore import Schema, col
 from repro.relstore.errors import QueryError
 from repro.relstore.table import Table
 
@@ -90,55 +90,3 @@ class TestExplain:
         assert plan["access"] == "inverted_index"
         assert plan["rows_examined"] == 2
 
-
-class TestSqlAggregates:
-    @pytest.fixture
-    def db(self):
-        database = Database()
-        execute(database, "CREATE TABLE codes (part_id TEXT, code TEXT, n INTEGER)")
-        execute(database, "INSERT INTO codes (part_id, code, n) VALUES "
-                          "('P1','E1',3), ('P1','E2',1), ('P2','E3',5)")
-        return database
-
-    def test_group_by_sql(self, db):
-        rows = execute(db, "SELECT part_id, count(*) FROM codes "
-                           "GROUP BY part_id")
-        assert rows == [{"part_id": "P1", "count(*)": 2},
-                        {"part_id": "P2", "count(*)": 1}]
-
-    def test_sum_sql(self, db):
-        rows = execute(db, "SELECT SUM(n) FROM codes WHERE part_id = 'P1'")
-        assert rows == [{"sum(n)": 4}]
-
-    def test_multiple_aggregates_sql(self, db):
-        rows = execute(db, "SELECT part_id, min(n), max(n) FROM codes "
-                           "GROUP BY part_id")
-        assert rows[0] == {"part_id": "P1", "min(n)": 1, "max(n)": 3}
-
-    def test_count_star_backward_compatible(self, db):
-        assert execute(db, "SELECT COUNT(*) FROM codes") == 3
-
-    def test_group_by_with_limit(self, db):
-        rows = execute(db, "SELECT part_id, count(*) FROM codes "
-                           "GROUP BY part_id LIMIT 1")
-        assert len(rows) == 1
-
-    def test_column_not_in_group_by_rejected(self, db):
-        with pytest.raises(SqlError, match="GROUP BY"):
-            execute(db, "SELECT code, count(*) FROM codes GROUP BY part_id")
-
-    def test_aggregate_without_group_with_column_rejected(self, db):
-        with pytest.raises(SqlError):
-            execute(db, "SELECT part_id, count(*) FROM codes")
-
-    def test_order_by_with_aggregate_rejected(self, db):
-        with pytest.raises(SqlError, match="ORDER BY"):
-            execute(db, "SELECT count(*) FROM codes GROUP BY part_id "
-                        "ORDER BY part_id")
-
-    def test_explain_sql(self, db):
-        db.table("codes").create_index("ix_p", "part_id")
-        plan = execute(db, "EXPLAIN SELECT * FROM codes WHERE part_id = 'P1'")
-        assert plan["access"] == "hash_index"
-        plan = execute(db, "EXPLAIN SELECT * FROM codes WHERE n > 1")
-        assert plan["access"] == "full_scan"

@@ -293,34 +293,35 @@ class TestSavepoints:
                 db.release_savepoint("missing")
 
 
-class TestSqlTransactionControl:
-    def test_begin_commit_via_sql(self):
-        from repro.relstore import execute
+class TestExplicitTransactionControl:
+    """``begin``/``commit``/``rollback`` called directly, not through
+    the ``transaction()`` context manager."""
+
+    def test_begin_commit(self):
         db = make_db()
-        execute(db, "BEGIN")
-        execute(db, "INSERT INTO t (k, n) VALUES ('a', 1)")
+        db.begin()
+        db.table("t").insert_many([{"k": "a", "n": 1}])
         assert db.in_transaction
-        execute(db, "COMMIT")
+        db.commit()
         assert rows_by_k(db.table("t")) == {"a": 1}
 
-    def test_rollback_and_savepoints_via_sql(self):
-        from repro.relstore import execute
+    def test_rollback_and_savepoints(self):
         db = make_db()
-        execute(db, "BEGIN TRANSACTION")
-        execute(db, "INSERT INTO t (k, n) VALUES ('keep', 1)")
-        execute(db, "SAVEPOINT sp")
-        execute(db, "INSERT INTO t (k, n) VALUES ('drop', 2)")
-        execute(db, "ROLLBACK TO SAVEPOINT sp")
-        execute(db, "RELEASE SAVEPOINT sp")
-        execute(db, "COMMIT")
-        assert rows_by_k(db.table("t")) == {"keep": 1}
+        table = db.table("t")
+        db.begin()
+        table.insert_many([{"k": "keep", "n": 1}])
+        db.savepoint("sp")
+        table.insert_many([{"k": "drop", "n": 2}])
+        db.rollback_to_savepoint("sp")
+        db.release_savepoint("sp")
+        db.commit()
+        assert rows_by_k(table) == {"keep": 1}
 
-    def test_plain_rollback_via_sql(self):
-        from repro.relstore import execute
+    def test_plain_rollback(self):
         db = make_db([{"k": "a", "n": 1}])
-        execute(db, "BEGIN WORK")
-        execute(db, "DELETE FROM t")
-        execute(db, "ROLLBACK")
+        db.begin()
+        db.table("t").delete()
+        db.rollback()
         assert rows_by_k(db.table("t")) == {"a": 1}
 
 

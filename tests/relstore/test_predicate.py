@@ -1,5 +1,7 @@
 """Unit tests for the predicate algebra."""
 
+import dataclasses
+
 import pytest
 
 from repro.relstore.predicate import (ALWAYS, And, Comparison, Contains,
@@ -35,6 +37,10 @@ class TestComparisons:
     def test_unknown_operator_raises(self):
         with pytest.raises(ValueError):
             Comparison("score", "%%", 1)(ROW)
+
+    def test_fields_are_column_op_value(self):
+        assert [field.name for field in dataclasses.fields(Comparison)] == [
+            "column", "op", "value"]
 
 
 class TestNullAndSets:

@@ -1,7 +1,5 @@
 """Property-based tests: the indexed store behaves like a naive reference."""
 
-import string
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,19 +85,6 @@ def test_delete_then_count_is_consistent(pairs):
     assert removed == expected_removed
     assert len(table) == len(pairs) - expected_removed
     assert table.select(col("part_id") == "P1") == []
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.text(alphabet=string.ascii_letters + string.digits + "_' =<>,()*",
-               max_size=40))
-def test_sql_parser_never_crashes_uncontrolled(text):
-    """The parser either parses or raises SqlError/SchemaError, never others."""
-    from repro.relstore.errors import SchemaError, SqlError
-    from repro.relstore.sql import parse
-    try:
-        parse(text)
-    except (SqlError, SchemaError):
-        pass
 
 
 @given(st.lists(st.tuples(_part_ids, st.integers(-5, 5)), max_size=30))

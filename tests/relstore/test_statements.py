@@ -721,18 +721,6 @@ def test_in_on_an_indexed_column_does_not_scan():
     assert len(seen) == 20
 
 
-def test_sql_in_uses_the_index():
-    from repro.relstore import execute
-
-    db = Database("in")
-    table = db.create_table("t", SCHEMA)
-    table.create_index("ix_part", "part")
-    table.insert_many({"k": str(i), "part": f"p{i % 5}", "n": i}
-                      for i in range(50))
-    assert len(execute(db, "SELECT k FROM t WHERE part IN ('p1', 'p2')")) == 20
-    assert table.explain(col("part").in_(["p1"]))["access"] == "hash_index"
-
-
 @pytest.mark.parametrize("predicate", [col("part").in_([None, "p1"]),
                                        col("part") == None])  # noqa: E711
 def test_null_bindings_scan_rather_than_miss_null_rows(predicate):

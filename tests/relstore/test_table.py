@@ -103,7 +103,7 @@ class TestSelect:
         assert [row["ref"] for row in rows] == ["R2"]
 
     def test_order_by_and_limit(self, table):
-        rows = table.select(order_by="score", descending=True, limit=2)
+        rows = table.select(order_by=lambda row: -row["score"], limit=2)
         assert [row["ref"] for row in rows] == ["R1", "R2"]
 
     def test_order_by_callable(self, table):

@@ -12,7 +12,7 @@ from repro.core import QATK, QatkConfig
 from repro.data import GeneratorConfig, generate_corpus, plan_corpus
 from repro.evaluate import build_extractor, experiment_subset
 from repro.knowledge import KnowledgeBase
-from repro.relstore import Database, load_database, save_database
+from repro.relstore import Database, col, load_database, save_database
 
 SMALL = {
     "bundles": 600, "part_ids": 5, "article_codes": 40,
@@ -93,16 +93,12 @@ class TestRestartCycle:
                     == [c.error_code for c in via_direct.codes])
 
 
-class TestSqlOverSystemTables:
-    def test_sql_queries_against_knowledge_tables(self, taxonomy, world):
-        from repro.relstore import execute
+class TestQueriesOverSystemTables:
+    def test_queries_against_knowledge_tables(self, taxonomy, world):
         corpus, train, _ = world
         qatk = QATK(taxonomy, QatkConfig(feature_mode="concepts"))
         qatk.train(train)
-        count = execute(qatk.database,
-                        "SELECT COUNT(*) FROM knowledge_nodes")
-        assert count == len(qatk.knowledge_base)
-        rows = execute(qatk.database,
-                       "SELECT part_id FROM knowledge_nodes "
-                       "WHERE support > 1 LIMIT 5")
+        nodes = qatk.database.table("knowledge_nodes")
+        assert nodes.count() == len(qatk.knowledge_base)
+        rows = nodes.select(col("support") > 1, columns=["part_id"], limit=5)
         assert all(row["part_id"].startswith("P") for row in rows)
