@@ -9,10 +9,10 @@ BoC+Jaccard .56/.85/.92 @1/@5/@10; code-frequency baseline .35/.76/.88 and
 1.00 @25; candidate-set baseline <1%→~83%.
 """
 
-from conftest import bench_folds, bench_workers
+from conftest import bench_folds
 
 from repro.evaluate import (ExperimentConfig, run_candidate_set_baseline,
-                            run_experiments_parallel, run_frequency_baseline)
+                            run_experiments, run_frequency_baseline)
 
 PAPER_ROWS = {
     "words+jaccard": {1: 0.81, 5: 0.94},
@@ -33,9 +33,8 @@ def test_experiment1_all_reports(benchmark, corpus, bundles, annotator,
         configs = [ExperimentConfig(feature_mode=mode, similarity=similarity,
                                     folds=folds)
                    for mode, similarity in variants]
-        results = run_experiments_parallel(bundles, configs, corpus.taxonomy,
-                                           annotator,
-                                           max_workers=bench_workers())
+        results = run_experiments(bundles, configs, corpus.taxonomy,
+                                  annotator)
         config = ExperimentConfig(folds=folds)
         results.append(run_frequency_baseline(bundles, config))
         for mode in ("words", "concepts"):

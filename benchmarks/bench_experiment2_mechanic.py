@@ -6,10 +6,10 @@ baseline, accuracy@1 between 16 % and 29 % vs the baseline's 35 %, with
 bag-of-words still slightly ahead of bag-of-concepts.
 """
 
-from conftest import bench_folds, bench_workers
+from conftest import bench_folds
 
 from repro.data import ReportSource
-from repro.evaluate import (ExperimentConfig, run_experiments_parallel,
+from repro.evaluate import (ExperimentConfig, run_experiments,
                             run_frequency_baseline)
 
 
@@ -24,11 +24,8 @@ def test_experiment2_mechanic_only(benchmark, corpus, bundles, annotator,
                                     folds=folds,
                                     test_sources=(ReportSource.MECHANIC,))
                    for mode, similarity in variants]
-        results = run_experiments_parallel(bundles, configs, corpus.taxonomy,
-                                           annotator,
-                                           max_workers=bench_workers())
-        for result in results:
-            result.name = f"{result.name} [mechanic only]"
+        results = run_experiments(bundles, configs, corpus.taxonomy,
+                                  annotator)
         results.append(run_frequency_baseline(
             bundles, ExperimentConfig(folds=folds)))
         return results

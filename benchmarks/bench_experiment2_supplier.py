@@ -6,11 +6,11 @@ and from k=10 (bag-of-concepts); bag-of-concepts + overlap closely tracks
 the code-frequency baseline.
 """
 
-from conftest import bench_folds, bench_workers
+from conftest import bench_folds
 
 from repro.data import ReportSource
 from repro.evaluate import (ExperimentConfig, run_experiment,
-                            run_experiments_parallel, run_frequency_baseline)
+                            run_experiments, run_frequency_baseline)
 
 
 def test_experiment2_supplier_only(benchmark, corpus, bundles, annotator,
@@ -24,11 +24,8 @@ def test_experiment2_supplier_only(benchmark, corpus, bundles, annotator,
                                     folds=folds,
                                     test_sources=(ReportSource.SUPPLIER,))
                    for mode, similarity in variants]
-        results = run_experiments_parallel(bundles, configs, corpus.taxonomy,
-                                           annotator,
-                                           max_workers=bench_workers())
-        for result in results:
-            result.name = f"{result.name} [supplier only]"
+        results = run_experiments(bundles, configs, corpus.taxonomy,
+                                  annotator)
         results.append(run_frequency_baseline(
             bundles, ExperimentConfig(folds=folds)))
         results.append(run_experiment(

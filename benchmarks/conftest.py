@@ -7,9 +7,7 @@ and appended to ``benchmarks/results/<name>.txt`` so a plain
 disk.
 
 Scale control: set ``REPRO_BENCH_FOLDS`` (default 5 — the paper's setting)
-to 2 or 3 for quicker runs, and ``REPRO_BENCH_WORKERS`` (default 1) to
-evaluate folds in parallel worker processes (same accuracies, less wall
-clock).
+to 2 or 3 for quicker runs.
 """
 
 import os
@@ -27,15 +25,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def bench_folds() -> int:
     """Cross-validation folds for benchmarks (env-overridable)."""
     return int(os.environ.get("REPRO_BENCH_FOLDS", "5"))
-
-
-def bench_workers() -> int:
-    """Worker processes for fold evaluation (env-overridable, default 1).
-
-    Accuracies are bit-identical at any worker count (see
-    ``repro.evaluate.parallel``); raising this only changes wall clock.
-    """
-    return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 
 @pytest.fixture(scope="session")

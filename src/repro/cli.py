@@ -3,8 +3,8 @@
 Subcommands::
 
     python -m repro stats                 # §3.2 corpus statistics
-    python -m repro exp1 [--folds N] [--workers W]   # Fig. 11 (Experiment 1)
-    python -m repro exp2 SOURCE [--folds N] [--workers W]  # Fig. 12/13
+    python -m repro exp1 [--folds N]      # Fig. 11 (Experiment 1)
+    python -m repro exp2 SOURCE [--folds N]  # Fig. 12/13
     python -m repro compare [--top N]     # Fig. 14 distributions
     python -m repro annotators            # §4.5.3 coverage comparison
     python -m repro serve [--port P]      # run the QUEST web app
@@ -28,8 +28,8 @@ from typing import Sequence
 
 from .data import ReportSource, generate_complaints, generate_corpus
 from .evaluate import (ExperimentConfig, experiment_subset,
-                       run_candidate_set_baseline,
-                       run_experiments_parallel, run_frequency_baseline)
+                       run_candidate_set_baseline, run_experiments,
+                       run_frequency_baseline)
 from .taxonomy import (ConceptAnnotator, LegacyConceptAnnotator,
                        annotator_coverage)
 
@@ -44,16 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp1 = commands.add_parser("exp1", help="Experiment 1 / Fig. 11")
     exp1.add_argument("--folds", type=int, default=5)
-    exp1.add_argument("--workers", type=int, default=1,
-                      help="worker processes for fold evaluation "
-                           "(1 = in-process)")
 
     exp2 = commands.add_parser("exp2", help="Experiment 2 / Fig. 12-13")
     exp2.add_argument("source", choices=["mechanic", "supplier"])
     exp2.add_argument("--folds", type=int, default=5)
-    exp2.add_argument("--workers", type=int, default=1,
-                      help="worker processes for fold evaluation "
-                           "(1 = in-process)")
 
     compare = commands.add_parser("compare", help="source comparison / Fig. 14")
     compare.add_argument("--top", type=int, default=3)
@@ -169,23 +163,20 @@ def _cmd_stats() -> int:
     return 0
 
 
-def _cmd_exp1(folds: int, workers: int) -> int:
+def _cmd_exp1(folds: int) -> int:
     corpus = generate_corpus()
     bundles = experiment_subset(corpus.bundles)
     annotator = ConceptAnnotator(taxonomy=corpus.taxonomy)
-    print(f"Experiment 1 (Fig. 11), {folds}-fold CV, {len(bundles)} bundles, "
-          f"{workers} worker(s)")
+    print(f"Experiment 1 (Fig. 11), {folds}-fold CV, {len(bundles)} bundles")
     configs = [ExperimentConfig(feature_mode=mode, similarity=similarity,
                                 folds=folds)
                for mode, similarity in (("words", "jaccard"),
                                         ("words", "overlap"),
                                         ("concepts", "jaccard"),
                                         ("concepts", "overlap"))]
-    results = run_experiments_parallel(bundles, configs, corpus.taxonomy,
-                                       annotator, max_workers=workers)
-    for result in results:
-        print(result.accuracy_row()
-              + f"  {result.seconds_per_bundle * 1000:.2f} ms/bundle")
+    for result in run_experiments(bundles, configs, corpus.taxonomy,
+                                  annotator):
+        print(result.accuracy_row())
     print(run_frequency_baseline(bundles,
                                  ExperimentConfig(folds=folds)).accuracy_row())
     for mode in ("words", "concepts"):
@@ -196,23 +187,20 @@ def _cmd_exp1(folds: int, workers: int) -> int:
     return 0
 
 
-def _cmd_exp2(source_name: str, folds: int, workers: int) -> int:
+def _cmd_exp2(source_name: str, folds: int) -> int:
     corpus = generate_corpus()
     bundles = experiment_subset(corpus.bundles)
     annotator = ConceptAnnotator(taxonomy=corpus.taxonomy)
     source = ReportSource.parse(source_name)
-    print(f"Experiment 2 ({source.value} reports only), {folds}-fold CV, "
-          f"{workers} worker(s)")
+    print(f"Experiment 2 ({source.value} reports only), {folds}-fold CV")
     configs = [ExperimentConfig(feature_mode=mode, similarity=similarity,
                                 folds=folds, test_sources=(source,))
                for mode, similarity in (("words", "jaccard"),
                                         ("words", "overlap"),
                                         ("concepts", "jaccard"),
                                         ("concepts", "overlap"))]
-    results = run_experiments_parallel(bundles, configs, corpus.taxonomy,
-                                       annotator, max_workers=workers)
-    for config, result in zip(configs, results):
-        result.name = f"{config.label} [{source.value} only]"
+    for result in run_experiments(bundles, configs, corpus.taxonomy,
+                                  annotator):
         print(result.accuracy_row())
     print(run_frequency_baseline(bundles,
                                  ExperimentConfig(folds=folds)).accuracy_row())
@@ -438,9 +426,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "stats":
         return _cmd_stats()
     if args.command == "exp1":
-        return _cmd_exp1(args.folds, args.workers)
+        return _cmd_exp1(args.folds)
     if args.command == "exp2":
-        return _cmd_exp2(args.source, args.folds, args.workers)
+        return _cmd_exp2(args.source, args.folds)
     if args.command == "compare":
         return _cmd_compare(args.top)
     if args.command == "annotators":

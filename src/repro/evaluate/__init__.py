@@ -6,14 +6,12 @@ from .crossval import Fold, experiment_subset, stratified_folds
 from .experiment import (FEATURE_MODES, ExperimentConfig, ExperimentResult,
                          FoldOutcome, build_extractor,
                          run_candidate_set_baseline, run_cross_source_evaluation,
-                         run_experiment, run_frequency_baseline,
-                         run_report_source_experiment)
+                         run_experiment, run_experiments,
+                         run_frequency_baseline)
 from .learning import (DEFAULT_SIZES, LearningPoint, curve_row,
                        run_learning_curve)
 from .metrics import (DEFAULT_KS, accuracy_at_k, mean_reciprocal_rank,
                       merge_fold_accuracies)
-from .parallel import (MemoizedExtractor, run_experiment_parallel,
-                       run_experiments_parallel)
 from .significance import (PairedBootstrapResult, compare_variants,
                            paired_bootstrap)
 from .report import (PartBreakdown, RankBreakdown, breakdown_by_part,
@@ -29,7 +27,6 @@ __all__ = [
     "Fold",
     "FoldOutcome",
     "LearningPoint",
-    "MemoizedExtractor",
     "PairedBootstrapResult",
     "PartBreakdown",
     "RankBreakdown",
@@ -50,9 +47,7 @@ __all__ = [
     "run_candidate_set_baseline",
     "run_cross_source_evaluation",
     "run_experiment",
-    "run_experiment_parallel",
-    "run_experiments_parallel",
+    "run_experiments",
     "run_frequency_baseline",
-    "run_report_source_experiment",
     "stratified_folds",
 ]

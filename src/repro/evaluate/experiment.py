@@ -1,20 +1,24 @@
 """The experiment runner behind §5.2-5.4.
 
 One :class:`ExperimentConfig` describes a classifier variant (feature
-model x similarity measure x test report sources); :func:`run_experiment`
-evaluates it with stratified cross-validation and returns per-fold and
-averaged accuracy@k plus per-bundle classification time — everything the
-paper's figures plot.
+model x similarity measure x test report sources); :func:`run_experiments`
+evaluates several of them with stratified cross-validation and returns
+per-fold and averaged accuracy@k plus per-bundle classification time —
+everything the paper's figures plot.  :func:`run_experiment` is its
+one-variant case.  Within a fold, variants of one feature mode share one
+knowledge base and one memoized feature extraction.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Sequence
 
 from ..classify.baselines import CandidateSetBaseline, CodeFrequencyBaseline
 from ..classify.knn import DEFAULT_NODE_CUTOFF, RankedKnnClassifier
+from ..classify.results import Recommendation
 from ..data.bundle import DataBundle, ReportSource, TEST_TIME_SOURCES
 from ..data.nhtsa import Complaint
 from ..knowledge.base import KnowledgeBase
@@ -49,8 +53,15 @@ class ExperimentConfig:
 
     @property
     def label(self) -> str:
-        """Short display label, e.g. ``"concepts+jaccard"``."""
-        return f"{self.feature_mode}+{self.similarity}"
+        """Short display label, e.g. ``"concepts+jaccard"``.
+
+        A test restricted to one report source says so, e.g.
+        ``"words+jaccard [supplier only]"`` (Experiment 2, §5.3).
+        """
+        label = f"{self.feature_mode}+{self.similarity}"
+        if len(self.test_sources) == 1:
+            label += f" [{self.test_sources[0].value} only]"
+        return label
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,11 @@ class FoldOutcome:
     test_count: int
     accuracies: dict[int, float]
     knowledge_nodes: int
+    #: Wall-clock seconds spent classifying the test bundles.  In a joint
+    #: :func:`run_experiments` run it excludes the feature extraction an
+    #: earlier variant of the same feature mode already did in this fold
+    #: (its memo answers instead), so compare it only between one-variant
+    #: runs.
     seconds: float
 
     @property
@@ -140,33 +156,109 @@ def build_extractor(feature_mode: str, taxonomy: Taxonomy | None = None,
     raise ValueError(f"unknown feature mode {feature_mode!r}")
 
 
+class MemoizedExtractor:
+    """Wraps an extractor with a text -> feature-set memo.
+
+    Extraction is deterministic, so a memo hit is bit-identical to
+    recomputation.  Keyed by the document text itself: correct even when
+    two bundles share a ref_no.  One instance is shared by all variants of
+    one feature mode within one fold, which is also the lifetime bound of
+    the memo.
+    """
+
+    def __init__(self, inner: FeatureExtractor) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self._memo: dict[str, frozenset[str]] = {}
+
+    def extract_text(self, text: str) -> frozenset[str]:
+        features = self._memo.get(text)
+        if features is None:
+            features = self.inner.extract_text(text)
+            self._memo[text] = features
+        return features
+
+    def __repr__(self) -> str:
+        return f"<MemoizedExtractor {self.name} memo={len(self._memo)}>"
+
+
+def _score_fold(fold: int, test: Sequence[DataBundle],
+                classify: Callable[[DataBundle], Recommendation],
+                ks: Sequence[int], knowledge_nodes: int) -> FoldOutcome:
+    """Classify one fold's *test* bundles, timed, and score accuracy@k."""
+    start = time.perf_counter()
+    recommendations = [classify(bundle) for bundle in test]
+    elapsed = time.perf_counter() - start
+    truths = [bundle.error_code for bundle in test]
+    return FoldOutcome(fold=fold, test_count=len(test),
+                       accuracies=accuracy_at_k(recommendations, truths, ks),
+                       knowledge_nodes=knowledge_nodes, seconds=elapsed)
+
+
+def run_experiments(bundles: Sequence[DataBundle],
+                    configs: Sequence[ExperimentConfig],
+                    taxonomy: Taxonomy | None = None,
+                    annotator: ConceptAnnotator | None = None,
+                    ) -> list[ExperimentResult]:
+    """Cross-validate several classifier variants over *bundles*.
+
+    One fold split serves every variant.  Within a fold, the variants of
+    one feature mode share one knowledge base and one
+    :class:`MemoizedExtractor`, so each document is extracted once per
+    mode however many similarity measures use it.  Accuracies equal those
+    of one :func:`run_experiment` call per config; only the ``seconds``
+    of a mode's later variants leave out the extraction already done.
+
+    Args:
+        bundles: the labeled corpus.
+        configs: the variants; all must share ``folds`` and ``seed``.
+        taxonomy / annotator: concept-mode dependencies, as in
+            :func:`build_extractor`.
+
+    Returns one :class:`ExperimentResult` per config, in config order.
+
+    Raises:
+        ValueError: on an empty config list or mismatched folds/seed.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("no experiment configs to run")
+    first = configs[0]
+    for config in configs[1:]:
+        if (config.folds, config.seed) != (first.folds, first.seed):
+            raise ValueError(
+                "all configs must share folds and seed for a joint run "
+                f"(got folds={config.folds}/seed={config.seed}, expected "
+                f"folds={first.folds}/seed={first.seed})")
+    modes = dict.fromkeys(config.feature_mode for config in configs)
+    inner = {mode: build_extractor(mode, taxonomy, annotator)
+             for mode in modes}
+    results = [ExperimentResult(name=config.label) for config in configs]
+    for fold in stratified_folds(bundles, first.folds, first.seed):
+        extractors = {mode: MemoizedExtractor(extractor)
+                      for mode, extractor in inner.items()}
+        bases = {mode: KnowledgeBase.from_bundles(fold.train, extractor)
+                 for mode, extractor in extractors.items()}
+        for config, result in zip(configs, results):
+            mode = config.feature_mode
+            classifier = RankedKnnClassifier(bases[mode], extractors[mode],
+                                             config.similarity,
+                                             config.node_cutoff)
+            result.folds.append(_score_fold(
+                fold.index, fold.test,
+                partial(classifier.classify_bundle,
+                        sources=config.test_sources),
+                config.ks, len(bases[mode])))
+    return results
+
+
 def run_experiment(bundles: Sequence[DataBundle],
                    config: ExperimentConfig,
                    taxonomy: Taxonomy | None = None,
                    annotator: ConceptAnnotator | None = None,
                    ) -> ExperimentResult:
     """Cross-validate one classifier variant over *bundles*."""
-    extractor = build_extractor(config.feature_mode, taxonomy, annotator)
-    result = ExperimentResult(name=config.label)
-    for fold in stratified_folds(bundles, config.folds, config.seed):
-        knowledge_base = KnowledgeBase.from_bundles(fold.train, extractor)
-        classifier = RankedKnnClassifier(knowledge_base, extractor,
-                                         config.similarity,
-                                         config.node_cutoff)
-        start = time.perf_counter()
-        recommendations = [classifier.classify_bundle(bundle,
-                                                      config.test_sources)
-                           for bundle in fold.test]
-        elapsed = time.perf_counter() - start
-        truths = [bundle.error_code for bundle in fold.test]
-        result.folds.append(FoldOutcome(
-            fold=fold.index,
-            test_count=len(fold.test),
-            accuracies=accuracy_at_k(recommendations, truths, config.ks),
-            knowledge_nodes=len(knowledge_base),
-            seconds=elapsed,
-        ))
-    return result
+    return run_experiments(bundles, [config], taxonomy, annotator)[0]
 
 
 def run_frequency_baseline(bundles: Sequence[DataBundle],
@@ -175,15 +267,9 @@ def run_frequency_baseline(bundles: Sequence[DataBundle],
     result = ExperimentResult(name="code-frequency baseline")
     for fold in stratified_folds(bundles, config.folds, config.seed):
         baseline = CodeFrequencyBaseline.from_bundles(fold.train)
-        start = time.perf_counter()
-        recommendations = [baseline.classify_bundle(bundle)
-                           for bundle in fold.test]
-        elapsed = time.perf_counter() - start
-        truths = [bundle.error_code for bundle in fold.test]
-        result.folds.append(FoldOutcome(
-            fold=fold.index, test_count=len(fold.test),
-            accuracies=accuracy_at_k(recommendations, truths, config.ks),
-            knowledge_nodes=0, seconds=elapsed))
+        result.folds.append(_score_fold(fold.index, fold.test,
+                                        baseline.classify_bundle, config.ks,
+                                        0))
     return result
 
 
@@ -203,29 +289,10 @@ def run_candidate_set_baseline(bundles: Sequence[DataBundle],
     for fold in stratified_folds(bundles, config.folds, config.seed):
         knowledge_base = KnowledgeBase.from_bundles(fold.train, extractor)
         baseline = CandidateSetBaseline(knowledge_base, extractor)
-        start = time.perf_counter()
-        recommendations = [baseline.classify_bundle(bundle,
-                                                    config.test_sources)
-                           for bundle in fold.test]
-        elapsed = time.perf_counter() - start
-        truths = [bundle.error_code for bundle in fold.test]
-        result.folds.append(FoldOutcome(
-            fold=fold.index, test_count=len(fold.test),
-            accuracies=accuracy_at_k(recommendations, truths, config.ks),
-            knowledge_nodes=len(knowledge_base), seconds=elapsed))
-    return result
-
-
-def run_report_source_experiment(bundles: Sequence[DataBundle],
-                                 config: ExperimentConfig,
-                                 source: ReportSource,
-                                 taxonomy: Taxonomy | None = None,
-                                 annotator: ConceptAnnotator | None = None,
-                                 ) -> ExperimentResult:
-    """Experiment 2 (§5.3): train on all reports, test on one source only."""
-    restricted = replace(config, test_sources=(source,))
-    result = run_experiment(bundles, restricted, taxonomy, annotator)
-    result.name = f"{config.label} [{source.value} only]"
+        result.folds.append(_score_fold(
+            fold.index, fold.test,
+            partial(baseline.classify_bundle, sources=config.test_sources),
+            config.ks, len(knowledge_base)))
     return result
 
 

@@ -10,8 +10,8 @@ they need before QUEST becomes useful.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from ..classify.knn import RankedKnnClassifier
@@ -20,8 +20,7 @@ from ..knowledge.base import KnowledgeBase
 from ..taxonomy.annotator import ConceptAnnotator
 from ..taxonomy.model import Taxonomy
 from .crossval import stratified_folds
-from .experiment import ExperimentConfig, build_extractor
-from .metrics import accuracy_at_k
+from .experiment import ExperimentConfig, _score_fold, build_extractor
 
 #: Default training-set sizes for the sweep.
 DEFAULT_SIZES: tuple[int, ...] = (250, 500, 1000, 2000, 4000)
@@ -57,7 +56,6 @@ def run_learning_curve(bundles: Sequence[DataBundle],
     fold = folds[-1]
     train_pool = list(fold.train)
     test = list(fold.test)
-    truths = [bundle.error_code for bundle in test]
     points: list[LearningPoint] = []
     for size in sizes:
         if size > len(train_pool):
@@ -68,16 +66,15 @@ def run_learning_curve(bundles: Sequence[DataBundle],
         classifier = RankedKnnClassifier(knowledge_base, extractor,
                                          config.similarity,
                                          config.node_cutoff)
-        start = time.perf_counter()
-        recommendations = [classifier.classify_bundle(bundle,
-                                                      config.test_sources)
-                           for bundle in test]
-        elapsed = time.perf_counter() - start
+        outcome = _score_fold(
+            fold.index, test,
+            partial(classifier.classify_bundle, sources=config.test_sources),
+            config.ks, len(knowledge_base))
         points.append(LearningPoint(
             train_size=size,
-            knowledge_nodes=len(knowledge_base),
-            accuracies=accuracy_at_k(recommendations, truths, config.ks),
-            seconds_per_bundle=elapsed / len(test)))
+            knowledge_nodes=outcome.knowledge_nodes,
+            accuracies=outcome.accuracies,
+            seconds_per_bundle=outcome.seconds / len(test)))
     return points
 
 

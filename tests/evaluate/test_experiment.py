@@ -1,5 +1,7 @@
 """Integration tests for the experiment runner on a scaled-down corpus."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.data import (GeneratorConfig, ReportSource, generate_complaints,
@@ -7,14 +9,21 @@ from repro.data import (GeneratorConfig, ReportSource, generate_complaints,
 from repro.evaluate import (ExperimentConfig, build_extractor,
                             experiment_subset, run_candidate_set_baseline,
                             run_cross_source_evaluation, run_experiment,
-                            run_frequency_baseline,
-                            run_report_source_experiment)
+                            run_experiments, run_frequency_baseline)
+from repro.evaluate import experiment
+from repro.evaluate.experiment import MemoizedExtractor
 from repro.taxonomy import ConceptAnnotator
 
 SMALL = {
     "bundles": 1200, "part_ids": 8, "article_codes": 80,
     "distinct_codes": 160, "singleton_codes": 60,
     "max_codes_per_part": 40, "parts_over_10_codes": 6,
+}
+
+TINY = {
+    "bundles": 400, "part_ids": 6, "article_codes": 50,
+    "distinct_codes": 80, "singleton_codes": 25,
+    "max_codes_per_part": 25, "parts_over_10_codes": 4,
 }
 
 
@@ -31,6 +40,14 @@ def small_bundles(small_corpus):
 
 
 @pytest.fixture(scope="module")
+def tiny_bundles(taxonomy):
+    plan = plan_corpus(taxonomy, seed=19, parameters=TINY)
+    corpus = generate_corpus(taxonomy=taxonomy, plan=plan,
+                             config=GeneratorConfig(seed=19))
+    return experiment_subset(corpus.bundles)
+
+
+@pytest.fixture(scope="module")
 def annotator(taxonomy):
     return ConceptAnnotator(taxonomy=taxonomy)
 
@@ -40,6 +57,13 @@ class TestExperimentConfig:
         config = ExperimentConfig(feature_mode="concepts",
                                   similarity="overlap")
         assert config.label == "concepts+overlap"
+
+    def test_label_names_a_single_test_source(self):
+        config = ExperimentConfig(test_sources=(ReportSource.SUPPLIER,))
+        assert config.label == "words+jaccard [supplier only]"
+        two = ExperimentConfig(test_sources=(ReportSource.MECHANIC,
+                                             ReportSource.SUPPLIER))
+        assert two.label == "words+jaccard"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -143,6 +167,84 @@ class TestRunExperiment:
         assert words_pool > 1.7 * concepts_pool
 
 
+class TestRunExperiments:
+    FIG_11 = [("words", "jaccard"), ("words", "overlap"),
+              ("concepts", "jaccard"), ("concepts", "overlap")]
+
+    def test_shared_extraction_equals_one_run_per_config(
+            self, tiny_bundles, taxonomy, annotator):
+        # Variants of one feature mode share a knowledge base and a
+        # memoized extraction per fold; their folds must not notice.
+        configs = [ExperimentConfig(feature_mode=mode, similarity=similarity,
+                                    folds=3)
+                   for mode, similarity in self.FIG_11]
+        joint = run_experiments(tiny_bundles, configs, taxonomy, annotator)
+        assert [result.name for result in joint] == [
+            config.label for config in configs]
+        for config, result in zip(configs, joint):
+            alone = run_experiment(tiny_bundles, config, taxonomy, annotator)
+            assert ([fold.accuracies for fold in result.folds]
+                    == [fold.accuracies for fold in alone.folds]), (
+                config.label)
+            assert ([fold.knowledge_nodes for fold in result.folds]
+                    == [fold.knowledge_nodes for fold in alone.folds]), (
+                config.label)
+
+    def test_variants_of_a_mode_extract_each_document_once(
+            self, tiny_bundles, monkeypatch):
+        calls = []
+        build = experiment.build_extractor
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+                self.name = inner.name
+
+            def extract_text(self, text):
+                calls.append(text)
+                return self.inner.extract_text(text)
+
+        monkeypatch.setattr(experiment, "build_extractor",
+                            lambda *args: Counting(build(*args)))
+        run_experiment(tiny_bundles, ExperimentConfig(folds=2))
+        alone = len(calls)
+        calls.clear()
+        run_experiments(tiny_bundles, [
+            ExperimentConfig(folds=2),
+            ExperimentConfig(similarity="overlap", folds=2)])
+        assert len(calls) == alone
+
+    def test_empty_configs_rejected(self, tiny_bundles):
+        with pytest.raises(ValueError):
+            run_experiments(tiny_bundles, [])
+
+    def test_mismatched_seed_rejected(self, tiny_bundles):
+        with pytest.raises(ValueError):
+            run_experiments(tiny_bundles, [
+                ExperimentConfig(folds=2, seed=7),
+                ExperimentConfig(folds=2, seed=8)])
+
+    def test_mismatched_folds_rejected(self, tiny_bundles):
+        with pytest.raises(ValueError):
+            run_experiments(tiny_bundles, [
+                ExperimentConfig(folds=2),
+                ExperimentConfig(folds=3)])
+
+
+class TestMemoizedExtractor:
+    def test_hit_is_same_object(self):
+        extractor = MemoizedExtractor(build_extractor("words"))
+        first = extractor.extract_text("fan scorched smell")
+        second = extractor.extract_text("fan scorched smell")
+        assert first is second
+        assert first == build_extractor("words").extract_text(
+            "fan scorched smell")
+
+    def test_name_forwarded(self):
+        extractor = MemoizedExtractor(build_extractor("words-nostop"))
+        assert extractor.name == "words-nostop"
+
+
 class TestBaselines:
     def test_frequency_baseline_reasonable(self, small_bundles):
         config = ExperimentConfig(folds=3)
@@ -164,18 +266,24 @@ class TestReportSourceExperiment:
     def test_mechanic_only_below_supplier_only(self, small_bundles, taxonomy,
                                                annotator):
         config = ExperimentConfig(feature_mode="words", folds=2)
-        mechanic = run_report_source_experiment(
-            small_bundles, config, ReportSource.MECHANIC, taxonomy, annotator)
-        supplier = run_report_source_experiment(
-            small_bundles, config, ReportSource.SUPPLIER, taxonomy, annotator)
+        mechanic = run_experiment(
+            small_bundles,
+            replace(config, test_sources=(ReportSource.MECHANIC,)),
+            taxonomy, annotator)
+        supplier = run_experiment(
+            small_bundles,
+            replace(config, test_sources=(ReportSource.SUPPLIER,)),
+            taxonomy, annotator)
         assert mechanic.accuracies[1] < supplier.accuracies[1]
         assert "[mechanic only]" in mechanic.name
 
     def test_supplier_only_close_to_all_reports(self, small_bundles, taxonomy,
                                                 annotator):
         config = ExperimentConfig(feature_mode="words", folds=2)
-        supplier = run_report_source_experiment(
-            small_bundles, config, ReportSource.SUPPLIER, taxonomy, annotator)
+        supplier = run_experiment(
+            small_bundles,
+            replace(config, test_sources=(ReportSource.SUPPLIER,)),
+            taxonomy, annotator)
         full = run_experiment(small_bundles, config, taxonomy, annotator)
         assert supplier.accuracies[5] > full.accuracies[5] - 0.1
 

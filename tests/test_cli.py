@@ -20,6 +20,12 @@ class TestParser:
         args = _build_parser().parse_args(["exp1", "--folds", "2"])
         assert args.folds == 2
 
+    def test_experiments_have_no_workers_option(self):
+        for argv in (["exp1", "--workers", "2"],
+                     ["exp2", "mechanic", "--workers", "2"]):
+            with pytest.raises(SystemExit):
+                _build_parser().parse_args(argv)
+
     def test_serve_options(self):
         args = _build_parser().parse_args(["serve", "--port", "9999"])
         assert args.port == 9999

@@ -3,7 +3,10 @@
 ``pickle``, ``marshal`` and ``shelve`` run whatever the bytes they load
 tell them to, so bytes from a socket, a file or a database row must
 never reach one.  The simplest way to keep that true is to import none
-of them anywhere in the package.
+of them anywhere in the package.  A process pool (``multiprocessing``,
+or the process executor of ``concurrent.futures``) pickles every task
+and result it passes between processes, so none is imported either; a
+``ThreadPoolExecutor`` pickles nothing and stays allowed.
 """
 
 import ast
@@ -12,22 +15,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Stdlib modules whose loaders execute code named by their input.
-FORBIDDEN = frozenset({"pickle", "marshal", "shelve"})
+#: Dotted names refused together with everything below them: stdlib
+#: loaders that execute code named by their input, and process pools.
+FORBIDDEN = frozenset({"pickle", "marshal", "shelve", "multiprocessing",
+                       "concurrent.futures.process",
+                       "concurrent.futures.ProcessPoolExecutor"})
+
+
+def _forbidden(name: str) -> bool:
+    return any(name == bad or name.startswith(bad + ".")
+               for bad in FORBIDDEN)
 
 
 def forbidden_imports(source: str, filename: str = "<source>") -> list[str]:
-    """``"file:line: module"`` for every import of a FORBIDDEN module."""
+    """``"file:line: name"`` for every import of a FORBIDDEN name."""
     hits = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
+            module = node.module or ""
+            names = ([module] if _forbidden(module) else
+                     [f"{module}.{alias.name}" for alias in node.names])
         else:
             continue
         for name in names:
-            if name.split(".")[0] in FORBIDDEN:
+            if _forbidden(name):
                 hits.append(f"{filename}:{node.lineno}: {name}")
     return hits
 
@@ -45,13 +58,19 @@ def test_flags_every_import_form():
         import pickle
         import json, marshal as m
         from shelve import open as shelf_open
+        import multiprocessing.pool
+        import concurrent.futures.process
+        from concurrent.futures import (ThreadPoolExecutor,
+                                        ProcessPoolExecutor as Pool)
 
         def load(data):
             from pickle import loads
             return loads(data)
         """))
     assert [hit.rsplit(": ", 1)[1] for hit in hits] == [
-        "pickle", "marshal", "shelve", "pickle"]
+        "pickle", "marshal", "shelve", "multiprocessing.pool",
+        "concurrent.futures.process",
+        "concurrent.futures.ProcessPoolExecutor", "pickle"]
 
 
 def test_ignores_lookalikes_and_relative_imports():
@@ -60,4 +79,7 @@ def test_ignores_lookalikes_and_relative_imports():
         import pickletools_like
         from . import pickle
         from .marshal import codec
+        import multiprocessing_like
+        import concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor, processing
         """)) == []
