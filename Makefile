@@ -35,9 +35,11 @@ test-serve:
 # Fig. 8 UIMA pipeline (tokenizer engine, CAS features) against the
 # extractor in all four feature modes, and ranked-list persistence that
 # skips unchanged lists against "the last list wins" (stored rows, rows
-# written, no WAL record for an unchanged call, recovery).
+# written, no WAL record for an unchanged call, recovery), and the
+# gateway's per-part memos against the bare service across random and
+# forced interleavings of suggests and writes.
 test-parity:
-	$(PYTHON) -m pytest tests/serve/test_parity.py tests/classify/test_reference_oracle.py tests/taxonomy/test_concept_oracle.py "tests/core/test_qatk.py::TestPipelineMatchesExtractor" "tests/classify/test_results.py::TestStoreElisionOracle" -q
+	$(PYTHON) -m pytest tests/serve/test_parity.py tests/serve/test_memo_invalidation.py tests/classify/test_reference_oracle.py tests/taxonomy/test_concept_oracle.py "tests/core/test_qatk.py::TestPipelineMatchesExtractor" "tests/classify/test_results.py::TestStoreElisionOracle" -q
 
 # The HTTP transport on its own: webapp routes, the sans-IO HTTP/1.1
 # core, keep-alive wire behavior, and the pooled client.

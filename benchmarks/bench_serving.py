@@ -5,7 +5,7 @@ requests one at a time straight into ``QuestService.suggest`` — the
 pre-gateway webapp hot path, paying bundle load, feature extraction, code
 list assembly and persistence on every request.  The gateway run drives
 the same request trace from concurrent closed-loop clients through the
-micro-batching worker pool, whose version-keyed memos and batch dedup
+micro-batching worker pool, whose per-part memos and batch dedup
 amortize that per-request cost across the hot working set.
 
 Acceptance floor (ISSUE PR 3): batched concurrent throughput must be at

@@ -67,8 +67,9 @@ class CandidateSetBaseline:
     """The unsorted candidate set (§5.1 baseline 2).
 
     Lists the error codes of the Fig. 5 candidate *nodes* in knowledge-base
-    storage order, without any scoring — what the classifier would present
-    if it skipped the similarity step.  A code's rank is the position of
+    storage order, without any similarity scoring — what the classifier
+    would present if it skipped the similarity step.  A code's score only
+    encodes its storage position.  A code's rank is the position of
     its first node, counting nodes (duplicates included), matching the
     paper's "containing all nodes in the knowledge base which share the
     part ID and at least one concept / word".  Depends on the feature
@@ -92,7 +93,13 @@ class CandidateSetBaseline:
         # is what "unsorted" means here — physical order, no relevance.
         ordered = sorted(enumerate(node for node, _ in candidates),
                          key=lambda item: (item[1].support, item[0]))
-        codes = [ScoredCode(node.error_code, 0.0, node.support)
-                 for _, node in ordered]  # duplicates kept: rank = node pos.
+        # Scores fall strictly with storage position, so the list ranks in
+        # storage order (equal scores would rank by error code:
+        # Recommendation.rank_of breaks ties alphabetically).  Duplicates
+        # are kept, so a code's rank is its first node's position.
+        count = len(ordered)
+        codes = [ScoredCode(node.error_code, (count - position) / count,
+                            node.support)
+                 for position, (_, node) in enumerate(ordered)]
         return Recommendation(ref_no=bundle.ref_no, part_id=bundle.part_id,
                               codes=codes)

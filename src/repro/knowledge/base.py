@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import copy
 from collections import Counter
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 from ..data.bundle import DataBundle
@@ -48,14 +48,21 @@ Candidate = tuple[KnowledgeNode, int]
 #: both sides of a process boundary.
 KnowledgeRow = tuple[int, str, str, tuple[str, ...], int]
 
+#: One process-wide counter stamps every ``_Part`` and every view when it
+#: is created.  Parts and views are immutable once published, so equal
+#: stamps mean the same, unchanged object: a reader's cache can key an
+#: answer on the stamp without holding the object itself.
+_stamps = count(1)
+
 
 class _Part:
     """One part's share of a view: its nodes by row id, their dedup keys
-    (error code, features) and its feature posting lists."""
+    (error code, features), its feature posting lists and its stamp."""
 
-    __slots__ = ("nodes", "keys", "postings")
+    __slots__ = ("nodes", "keys", "postings", "stamp")
 
     def __init__(self, shared: "_Part | None" = None) -> None:
+        self.stamp = next(_stamps)
         # A copy shares the posting lists themselves; a change copies
         # each list it touches (see FrozenKnowledgeView._apply).
         self.nodes: dict[int, KnowledgeNode] = (
@@ -87,7 +94,9 @@ class FrozenKnowledgeView:
     A view never changes once built.  :meth:`with_changes` derives a new
     one that copies only what a change touches (the touched parts' node,
     key and posting dicts and the touched posting lists) and shares the
-    rest, so a reader holding a view needs no lock.  The live
+    rest, so a reader holding a view needs no lock.  An untouched part
+    is the same object, with the same :meth:`part_stamp`, in both views;
+    a touched part and the view itself get fresh stamps.  The live
     :class:`KnowledgeBase` publishes one per committed write; the
     Fig. 5/7 reference oracle builds one from exported rows.  Rows carry
     distinct dedup keys (part, code, features), as a knowledge base's
@@ -97,6 +106,8 @@ class FrozenKnowledgeView:
     def __init__(self, rows: Iterable[KnowledgeRow] = (),
                  feature_kind: str = "features") -> None:
         self.feature_kind = feature_kind
+        #: This view's stamp (see ``_stamps``).
+        self.stamp = next(_stamps)
         self._pool: dict[frozenset[str], frozenset[str]] = {}
         self._parts: dict[str, _Part] = {}
         self._apply(rows, ())
@@ -110,6 +121,7 @@ class FrozenKnowledgeView:
         is shared: interning never changes an answer.
         """
         view = copy.copy(self)
+        view.stamp = next(_stamps)
         view._parts = dict(self._parts)
         view._apply(upserts, removed)
         return view
@@ -205,6 +217,13 @@ class FrozenKnowledgeView:
     def has_part(self, part_id: str) -> bool:
         """Whether the view holds any node for *part_id* (Fig. 5 step 2)."""
         return part_id in self._parts
+
+    def part_stamp(self, part_id: str) -> int | None:
+        """The stamp of *part_id*'s nodes, or ``None`` for an unknown
+        part.  A later view gives the same stamp exactly when no write
+        touched the part in between."""
+        part = self._parts.get(part_id)
+        return part.stamp if part is not None else None
 
     def candidates(self, part_id: str,
                    features: frozenset[str] | set[str]) -> list[Candidate]:

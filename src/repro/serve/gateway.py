@@ -9,9 +9,13 @@ and :class:`~repro.quest.service.QuestService`:
    to ``max_batch_size``/``max_wait_ms`` and execute as one pass: bundle
    loads, feature extraction, per-part code lists and healthy
    recommendations are computed once per *unique* ref/part in the batch
-   and memoized per model-snapshot version, so repeat traffic stops
-   paying the full per-bundle classification cost the bare service
-   charges.  Any write bumps the version and resets every memo.
+   and memoized across batches, so repeat traffic stops paying the full
+   per-bundle classification cost the bare service charges.  A memo
+   entry is keyed by what it was computed from, so a write drops only
+   what it changed: a recommendation holds its part's knowledge stamp
+   (Fig. 5 ranks a known part's bundle against that part's nodes only),
+   an assignment drops its own bundle, a custom code its own part's code
+   list, and a model swap everything.
 3. **Fixed worker pool** — per-request deadlines, timeout/cancellation,
    one retry on a worker fault, then the degraded-suggest chain
    (stored -> fallback classifier -> frequency baseline).
@@ -22,20 +26,21 @@ and :class:`~repro.quest.service.QuestService`:
    published immutable view.  Writes run one at a time, each as one
    relstore transaction under the gateway's write lock: a failed service
    call rolls back atomically and publishes nothing, a committed one
-   publishes a new knowledge view, and the snapshot is then re-versioned,
-   which invalidates the gateway's memos.
+   publishes a new knowledge view (with fresh stamps for the parts it
+   touched), and the snapshot is then re-versioned.
 5. **Stats** — every outcome lands in :class:`~repro.serve.stats.ServeStats`
    (exposed on the web app's ``/stats`` and in bench output).
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from ..classify.results import store_recommendations
+from ..classify.results import Recommendation, store_recommendations
 from ..data.bundle import DataBundle
 from ..knowledge.extractor import test_document
 from ..quest.errors import DegradedServiceError, UnknownBundleError
@@ -66,7 +71,7 @@ class GatewayConfig:
     #: Default per-request deadline (seconds); ``suggest(timeout=...)``
     #: overrides per call.
     default_timeout: float = 10.0
-    #: Bounded size of the per-version memo tables (entries per memo).
+    #: Bounded size of the memo tables (entries per memo).
     memo_size: int = 8192
     #: Grace period ``stop()`` grants in-flight and queued work.
     drain_grace: float = 5.0
@@ -94,6 +99,44 @@ class DrainReport:
                 f"{self.grace_seconds:.1f}s grace, {state}")
 
 
+def _models(snapshot: ModelSnapshot) -> tuple:
+    """The model objects every memo entry depends on."""
+    return (snapshot.classifier, snapshot.frequency_baseline,
+            snapshot.fallback_classifier)
+
+
+def _knowledge_stamp(snapshot: ModelSnapshot, part_id: str) -> int:
+    """What a ranked list for *part_id* is computed from: the part's stamp
+    in the classifier's published knowledge view, or the whole view's
+    stamp for an unknown part (the Fig. 5 fallback ranks against every
+    part)."""
+    view = snapshot.classifier.knowledge_base.view
+    stamp = view.part_stamp(part_id)
+    return view.stamp if stamp is None else stamp
+
+
+class _Memos:
+    """The gateway's memos for one set of models (see ``ServeGateway``)."""
+
+    __slots__ = ("models", "bundles", "features", "codes", "recs",
+                 "persisted")
+
+    def __init__(self, models: tuple,
+                 persisted: dict[str, tuple[str, int]] | None = None) -> None:
+        self.models = models
+        self.bundles: dict[str, DataBundle] = {}
+        self.features: dict[str, frozenset[str]] = {}
+        self.codes: dict[str, list[str]] = {}
+        #: ref -> (knowledge stamp, healthy recommendation)
+        self.recs: dict[str, tuple[int, Recommendation]] = {}
+        #: ref -> (part, knowledge stamp) its answer was last persisted under
+        self.persisted = {} if persisted is None else persisted
+
+    def overflowing(self, size: int) -> bool:
+        return max(len(self.bundles), len(self.features),
+                   len(self.recs)) > size
+
+
 class ServeGateway:
     """Concurrent serving front-end over one :class:`QuestService`."""
 
@@ -115,24 +158,29 @@ class ServeGateway:
         # snapshot isolation alone does not give (write skew; see
         # docs/transactions.md).
         self._write_lock = threading.Lock()
-        # Per-snapshot memos (all guarded by _memo_lock): bundles,
-        # extracted features, per-part code lists and healthy
-        # recommendations survive across batches until a write installs a
-        # new snapshot.  Keyed by snapshot *identity*, not version number:
-        # a snapshot is the object the registry published, so identity
-        # names exactly the models a memo entry was computed from.
-        # persisted_refs persists each ref once per snapshot.  An unchanged
-        # list would write nothing anyway (store_recommendations compares
-        # first), but a memo-hit read must not re-enqueue a review entry
-        # an engineer accepted or escalated under the same snapshot:
-        # resolve_review bumps the snapshot only for an override.
+        # Memos (mutated under _memo_lock): bundles, extracted features,
+        # per-part code lists and healthy recommendations survive across
+        # batches and writes; a write drops only what it changed.  A
+        # recommendation entry holds the knowledge stamp it was ranked
+        # under (_knowledge_stamp, read before ranking) and is a hit only
+        # while the current view gives the same stamp, so a decision on
+        # one part leaves every other part's entries standing.  An assign
+        # drops its own bundle (its stored error_code changes), a custom
+        # code its own part's code list; overrides are checked per ref
+        # before the memo and intakes only add refs, so neither drops
+        # anything.  Every entry depends on the snapshot's model objects,
+        # so a model swap starts new memos.  _writes counts dropping
+        # writes: a bundle or code-list load that began before a drop
+        # stores nothing, so it cannot put a stale result back.
+        # A healthy answer is persisted only when freshly computed, and at
+        # most once per ref and stamp (_Memos.persisted, which survives an
+        # overflow).  An unchanged list would write nothing anyway
+        # (store_recommendations compares first), but a re-ranked read
+        # must not re-enqueue a review entry an engineer accepted or
+        # escalated while nothing it depends on changed.
         self._memo_lock = threading.Lock()
-        self._memo_snapshot: ModelSnapshot | None = None
-        self._bundle_memo: dict[str, DataBundle] = {}
-        self._feature_memo: dict[str, frozenset[str]] = {}
-        self._codes_memo: dict[str, list[str]] = {}
-        self._rec_memo: dict[str, object] = {}
-        self._persisted_refs: set[str] = set()
+        self._memos = _Memos(_models(self.registry.current()))
+        self._writes = 0
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -258,6 +306,7 @@ class ServeGateway:
         with self._write_txn():
             self.service.assign_code(actor, ref_no, error_code)
         self.stats.count("assignments")
+        self._drop(ref_no=ref_no)
         self.registry.bump()
         self.stats.count("swaps")
 
@@ -267,6 +316,7 @@ class ServeGateway:
         with self._write_txn():
             self.service.define_error_code(actor, error_code, part_id,
                                            description)
+        self._drop(part_id=part_id)
         self.registry.bump()
         self.stats.count("swaps")
 
@@ -279,7 +329,8 @@ class ServeGateway:
         return count
 
     def swap_models(self, **models) -> ModelSnapshot:
-        """Publish retrained models (see :meth:`ModelRegistry.swap`)."""
+        """Publish retrained models (see :meth:`ModelRegistry.swap`); the
+        next batch starts new memos."""
         snapshot = self.registry.swap(**models)
         self.stats.count("swaps")
         return snapshot
@@ -383,6 +434,10 @@ class ServeGateway:
         if not live:
             return
         snapshot = self.registry.current()
+        memos = self._memos_for(snapshot)
+        # Read before the read view opens: a write that drops memo entries
+        # after this point keeps this batch's loads out of the memos.
+        writes = self._writes
         bundles, features, codes, persist_views = {}, {}, {}, []
         # Bundle loads are pure relstore reads: a pinned read view gives
         # the whole batch one committed snapshot without making a
@@ -393,7 +448,7 @@ class ServeGateway:
                 if ref in bundles:
                     continue
                 try:
-                    bundles[ref] = self._load_bundle(snapshot, ref)
+                    bundles[ref] = self._load_bundle(memos, writes, ref)
                 except Exception as exc:
                     bundles[ref] = exc
         for request in live:
@@ -408,14 +463,13 @@ class ServeGateway:
                 self.stats.count("deadline_exceeded")
                 continue
             try:
-                view = self._serve_one(snapshot, bundle, features, codes)
+                view, fresh = self._serve_one(snapshot, memos, writes,
+                                              bundle, features, codes)
             except Exception as exc:
                 request.reject(exc)
                 self.stats.count("failed")
                 continue
-            if (self.config.persist and view.degraded is None
-                    and view.source != "override"
-                    and self._should_persist(snapshot, bundle.ref_no)):
+            if self.config.persist and fresh:
                 persist_views.append(view)
             request.resolve(view)
             self.stats.record_completion(time.monotonic()
@@ -438,14 +492,17 @@ class ServeGateway:
     # ------------------------------------------------------------------ #
     # per-request classification with retry + degraded fallback
 
-    def _serve_one(self, snapshot: ModelSnapshot, bundle: DataBundle,
-                   features: dict, codes: dict) -> SuggestionView:
+    def _serve_one(self, snapshot: ModelSnapshot, memos: _Memos,
+                   writes: int, bundle: DataBundle, features: dict,
+                   codes: dict) -> tuple[SuggestionView, bool]:
         """Classify one live request; retry once, then degrade.
 
         *features*/*codes* are the batch-local views of the memo tables —
         duplicate refs and same-part requests in the batch reuse them.
+        Returns the view and whether it is a healthy classifier answer to
+        persist (see :meth:`_remember`).
         """
-        degraded = None
+        degraded, fresh = None, False
         pinned = snapshot.overrides.get(bundle.ref_no)
         if pinned is not None:
             # An engineer's pin wins over the classifier: no memo, no
@@ -455,8 +512,9 @@ class ServeGateway:
                                                      bundle.part_id, pinned)
             self.stats.count("override_hits")
         else:
-            recommendation = self._recall_recommendation(snapshot,
-                                                         bundle.ref_no)
+            stamp = _knowledge_stamp(snapshot, bundle.part_id)
+            recommendation = self._recall_recommendation(memos, bundle.ref_no,
+                                                         stamp)
             if recommendation is None:
                 try:
                     recommendation = self._classify_one(snapshot, bundle,
@@ -471,28 +529,25 @@ class ServeGateway:
                             snapshot, bundle, first)
                         self.stats.count("degraded")
                 if degraded is None:
-                    # Healthy answers are deterministic per snapshot (writes
-                    # install a new one, resetting this memo), so repeat
-                    # traffic skips classification entirely.
-                    with self._memo_lock:
-                        if self._memo_snapshot is snapshot:
-                            self._rec_memo[bundle.ref_no] = recommendation
+                    fresh = self._remember(memos, bundle, stamp,
+                                           recommendation)
             else:
                 self.stats.count("memo_hits")
         all_codes = codes.get(bundle.part_id)
         if all_codes is None:
             with self.service.database.read_view():
-                all_codes = self._full_code_list(snapshot, bundle.part_id)
+                all_codes = self._full_code_list(snapshot, memos, writes,
+                                                 bundle.part_id)
             codes[bundle.part_id] = all_codes
         if pinned is not None:
             return SuggestionView(bundle=bundle, suggestions=recommendation,
                                   all_codes=all_codes, degraded=None,
                                   confidence=OVERRIDE_CONFIDENCE,
-                                  source="override")
+                                  source="override"), False
         return SuggestionView(bundle=bundle, suggestions=recommendation,
                               all_codes=all_codes, degraded=degraded,
                               confidence=score_confidence(recommendation),
-                              source="classifier")
+                              source="classifier"), fresh
 
     def _classify_one(self, snapshot: ModelSnapshot, bundle: DataBundle,
                       features: dict):
@@ -533,64 +588,85 @@ class ServeGateway:
         return recommendation, "frequency"
 
     # ------------------------------------------------------------------ #
-    # version-keyed memos
+    # memos keyed by what each answer was computed from
 
-    def _memo_tables(self, snapshot: ModelSnapshot):
-        """The memo dicts for *snapshot*, resetting them on snapshot change
-        or overflow.  Caller must hold no memo references across writes."""
+    def _memos_for(self, snapshot: ModelSnapshot) -> _Memos:
+        """The memos of *snapshot*'s models: new ones after a model swap,
+        and new bounded ones after an overflow.  An overflow keeps the
+        persisted stamps that still hold, so the reads that re-rank after
+        it re-persist and re-enqueue nothing."""
+        models = _models(snapshot)
         with self._memo_lock:
-            if self._memo_snapshot is not snapshot:
-                self._memo_snapshot = snapshot
-                self._bundle_memo = {}
-                self._feature_memo = {}
-                self._codes_memo = {}
-                self._rec_memo = {}
-                self._persisted_refs = set()
-            elif (len(self._bundle_memo) > self.config.memo_size
-                    or len(self._feature_memo) > self.config.memo_size
-                    or len(self._rec_memo) > self.config.memo_size):
-                self._bundle_memo = {}
-                self._feature_memo = {}
-                self._codes_memo = {}
-                self._rec_memo = {}
-            return (self._bundle_memo, self._feature_memo, self._codes_memo)
+            memos = self._memos
+            if not all(map(operator.is_, memos.models, models)):
+                memos = self._memos = _Memos(models)
+            elif memos.overflowing(self.config.memo_size):
+                persisted = memos.persisted
+                for ref in [ref for ref, (part_id, stamp) in persisted.items()
+                            if _knowledge_stamp(snapshot, part_id) != stamp]:
+                    del persisted[ref]
+                memos = self._memos = _Memos(models, persisted)
+            return memos
 
-    def _recall_recommendation(self, snapshot: ModelSnapshot, ref_no: str):
-        """A healthy recommendation already computed under this snapshot
-        version, or ``None``.  Never returns degraded answers — those are
-        transient and recomputed on every request."""
-        self._memo_tables(snapshot)
+    def _drop(self, *, ref_no: str | None = None,
+              part_id: str | None = None) -> None:
+        """After a committed write: drop the bundle or code list it
+        changed, and count the write so a load that began before it
+        cannot store its stale result."""
         with self._memo_lock:
-            if self._memo_snapshot is not snapshot:
-                return None
-            return self._rec_memo.get(ref_no)
+            self._writes += 1
+            if ref_no is not None:
+                self._memos.bundles.pop(ref_no, None)
+            if part_id is not None:
+                self._memos.codes.pop(part_id, None)
 
-    def _load_bundle(self, snapshot: ModelSnapshot, ref_no: str) -> DataBundle:
-        bundle_memo, _, _ = self._memo_tables(snapshot)
-        bundle = bundle_memo.get(ref_no)
+    @staticmethod
+    def _recall_recommendation(memos: _Memos, ref_no: str,
+                               stamp: int) -> Recommendation | None:
+        """A healthy recommendation already ranked under *stamp*, or
+        ``None``.  Never returns degraded answers — those are transient
+        and recomputed on every request."""
+        entry = memos.recs.get(ref_no)
+        return entry[1] if entry is not None and entry[0] == stamp else None
+
+    def _remember(self, memos: _Memos, bundle: DataBundle, stamp: int,
+                  recommendation: Recommendation) -> bool:
+        """Memoize a freshly ranked healthy recommendation; returns whether
+        to persist it: once per ref and knowledge stamp."""
+        persisted = (bundle.part_id, stamp)
+        with self._memo_lock:
+            memos.recs[bundle.ref_no] = (stamp, recommendation)
+            if memos.persisted.get(bundle.ref_no) == persisted:
+                return False
+            memos.persisted[bundle.ref_no] = persisted
+            return True
+
+    def _load_bundle(self, memos: _Memos, writes: int,
+                     ref_no: str) -> DataBundle:
+        bundle = memos.bundles.get(ref_no)
         if bundle is None:
             bundle = self.service.bundle(ref_no)
             if bundle is None:
                 raise UnknownBundleError(f"no bundle {ref_no!r}")
             with self._memo_lock:
-                bundle_memo[ref_no] = bundle
+                if self._writes == writes:
+                    memos.bundles[ref_no] = bundle
         return bundle
 
     def _extract_features(self, snapshot: ModelSnapshot,
                           bundle: DataBundle) -> frozenset[str]:
-        _, feature_memo, _ = self._memo_tables(snapshot)
-        feats = feature_memo.get(bundle.ref_no)
+        memos = self._memos_for(snapshot)
+        feats = memos.features.get(bundle.ref_no)
         if feats is None:
             feats = snapshot.classifier.extractor.extract_text(
                 test_document(bundle.without_label()))
             with self._memo_lock:
-                feature_memo[bundle.ref_no] = feats
+                memos.features[bundle.ref_no] = feats
         return feats
 
-    def _full_code_list(self, snapshot: ModelSnapshot,
-                        part_id: str) -> list[str]:
-        _, _, codes_memo = self._memo_tables(snapshot)
-        all_codes = codes_memo.get(part_id)
+    def _full_code_list(self, snapshot: ModelSnapshot, memos: _Memos,
+                        writes: int, part_id: str) -> list[str]:
+        all_codes = memos.codes.get(part_id)
         if all_codes is None:
             # Same merge as QuestService.full_code_list, but ranking with
             # the *snapshot's* frequency baseline so a model swap changes
@@ -602,18 +678,9 @@ class ServeGateway:
             all_codes = ranked + [code for code in custom
                                   if code not in ranked]
             with self._memo_lock:
-                codes_memo[part_id] = all_codes
+                if self._writes == writes:
+                    memos.codes[part_id] = all_codes
         return all_codes
-
-    def _should_persist(self, snapshot: ModelSnapshot, ref_no: str) -> bool:
-        """Persist each ref's healthy recommendation once per snapshot."""
-        with self._memo_lock:
-            if self._memo_snapshot is not snapshot:
-                return True  # a write raced this batch; persist to be safe
-            if ref_no in self._persisted_refs:
-                return False
-            self._persisted_refs.add(ref_no)
-            return True
 
     def __repr__(self) -> str:
         return (f"<ServeGateway workers={self.config.workers} "

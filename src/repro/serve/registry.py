@@ -10,8 +10,9 @@ custom codes) meet here:
   cannot tear a request across two model generations.
 * :meth:`ModelRegistry.swap` atomically replaces the snapshot (e.g. after
   an offline retrain), and :meth:`ModelRegistry.bump` re-stamps the
-  current models after a committed knowledge-base write, invalidating
-  every version-keyed cache downstream.
+  current models after a committed write.  The gateway's memos key on
+  finer things than the version (see :mod:`repro.serve.gateway`): the
+  model objects, and the knowledge view's per-part stamps.
 
 Nothing here locks a reader.  Relstore rows are read through MVCC read
 views, and a classifier's knowledge base answers from an immutable
@@ -40,9 +41,12 @@ class ModelSnapshot:
 
     The snapshot object itself never changes.  The knowledge base its
     classifier points at publishes a new immutable view per committed
-    write, so a reader sees each write whole or not at all.  Any such
-    write must be followed by :meth:`ModelRegistry.bump` so readers'
-    version-keyed caches drop stale derived data.
+    write, so a reader sees each write whole or not at all.  That view
+    stamps each part afresh when a write touches it, and the gateway's
+    recommendation memo keys on those stamps, so a write drops only the
+    parts it changed.  Writes are still followed by
+    :meth:`ModelRegistry.bump`, which re-versions the snapshot and
+    publishes a changed override map.
     """
 
     version: int
@@ -117,8 +121,7 @@ class ModelRegistry:
 
     def bump(self, overrides=_UNSET) -> ModelSnapshot:
         """Re-version the current snapshot after a model update (e.g. the
-        knowledge base learned from a confirmed assignment).
-        Version-keyed caches treat this exactly like a swap.  *overrides*
+        knowledge base learned from a confirmed assignment).  *overrides*
         replaces the snapshot's override map when given — write paths
         that pin/supersede overrides pass the store's fresh active map."""
         with self._swap_lock:

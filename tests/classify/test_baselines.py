@@ -73,13 +73,33 @@ class TestCandidateSetBaseline:
             bundle("X", "P1", None, text="fan broken"))
         codes = {scored.error_code for scored in recommendation.codes}
         assert codes == {"E1", "E2"}
-        assert all(scored.score == 0.0 for scored in recommendation.codes)
+        # no similarity: a score only encodes the storage position
+        scores = [scored.score for scored in recommendation.codes]
+        assert scores == sorted(scores, reverse=True)
+        assert len(set(scores)) == len(scores)
 
     def test_no_shared_feature_no_candidates(self):
         baseline = CandidateSetBaseline(self.make_kb(), BagOfWordsExtractor())
         recommendation = baseline.classify_bundle(
             bundle("X", "P1", None, text="unrelated words"))
         assert recommendation.codes == []
+
+    def test_ranks_follow_storage_order_not_the_alphabet(self):
+        """Storage order here is Z9, B5, M1 (support ascending, then
+        insertion): the ranks must follow it, not the codes' sort order."""
+        kb = KnowledgeBase(feature_kind="words")
+        kb.add_observation("P1", "Z9", {"fan"})
+        kb.add_observation("P1", "M1", {"fan", "noise"})
+        kb.add_observation("P1", "M1", {"fan", "noise"})
+        kb.add_observation("P1", "B5", {"fan", "hum"})
+        baseline = CandidateSetBaseline(kb, BagOfWordsExtractor())
+        recommendation = baseline.classify_bundle(
+            bundle("X", "P1", None, "fan"))
+        order = [scored.error_code for scored in recommendation.codes]
+        assert order == ["Z9", "B5", "M1"]
+        assert [recommendation.rank_of(code) for code in order] == [1, 2, 3]
+        assert recommendation.hit_at("Z9", 1)
+        assert not recommendation.hit_at("B5", 1)
 
     def test_order_is_storage_order(self):
         kb = self.make_kb()

@@ -41,9 +41,72 @@ class TestSuggestEquivalence:
             col("ref_no") == ref)
         assert len(rows) == len(first.suggestions.codes)
 
+    def test_accepted_review_entry_is_persisted_once_per_stamp(
+            self, service, power_user):
+        """A ref is persisted (and enqueued for review) at most once per
+        knowledge stamp, so a re-ranked read does not re-enqueue an entry
+        an engineer accepted while nothing its ranking depends on
+        changed."""
+        quest, held_out = service
+        quest.review_threshold = 2.0  # every persisted suggest enqueues
+        gw = ServeGateway(quest, GatewayConfig(workers=1, memo_size=2,
+                                               drain_grace=2.0))
+        target = held_out[0]
+        same_part = next(bundle for bundle in held_out[1:]
+                         if bundle.part_id == target.part_id)
+        others = [bundle.ref_no for bundle in held_out
+                  if bundle.part_id != target.part_id]
+        barrier, other_part, fillers = others[0], others[1], others[2:5]
+        ranked = []
+        classify = gw._classify_one
+
+        def counting(snapshot, bundle, features):
+            ranked.append(bundle.ref_no)
+            return classify(snapshot, bundle, features)
+
+        gw._classify_one = counting
+
+        def suggest_target() -> dict | None:
+            gw.suggest(target.ref_no)
+            # One worker: once a later request is served, the target's
+            # batch, its persist included, has finished.
+            gw.suggest(barrier)
+            return quest.review_queue.entry(target.ref_no)
+
+        def accept() -> None:
+            gw.claim_review(power_user, target.ref_no)
+            gw.resolve_review(power_user, target.ref_no, "accept")
+
+        try:
+            assert suggest_target()["status"] == "pending"
+            accept()
+            # 1. a write to another part: the memo answers, nothing persists
+            gw.assign(power_user, other_part,
+                      quest.full_code_list(quest.bundle(other_part)
+                                           .part_id)[0])
+            hits = gw.stats_snapshot()["memo_hits"]
+            assert suggest_target() is None
+            assert gw.stats_snapshot()["memo_hits"] > hits
+            # 2. a write to the entry's own part: the target re-ranks under
+            # a new stamp, is persisted and enters the queue again, as any
+            # write made it do when every write emptied the memos
+            gw.assign(power_user, same_part.ref_no,
+                      quest.full_code_list(target.part_id)[0])
+            assert suggest_target()["status"] == "pending"
+            accept()
+            # 3. a memo overflow: the target re-ranks under the same stamp
+            # and is neither persisted nor enqueued again
+            for ref in fillers:
+                gw.suggest(ref)
+            before = ranked.count(target.ref_no)
+            assert suggest_target() is None
+            assert ranked.count(target.ref_no) == before + 1
+        finally:
+            gw.stop(grace=2.0)
+
     def test_repeat_requests_skip_classification(self, gateway):
-        """Within one model version, a ref is classified once; repeats are
-        served from the version-keyed result memo."""
+        """Until a write touches its part, a ref is classified once;
+        repeats are served from the result memo."""
         gw, _, held_out = gateway
         calls = []
         original = gw._classify_one
@@ -61,8 +124,9 @@ class TestSuggestEquivalence:
         assert gw.stats_snapshot()["memo_hits"] == 1
 
     def test_write_invalidates_result_memo(self, gateway, power_user):
-        """Any write bumps the snapshot version, so the next request is
-        re-classified against the updated store."""
+        """A write to the ref's own part gives the part a new knowledge
+        stamp, so the next request is re-classified against the updated
+        store."""
         gw, _, held_out = gateway
         calls = []
         original = gw._classify_one
